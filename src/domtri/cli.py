@@ -31,20 +31,9 @@ from .domination import (
     exact_gamma,
     exact_iota,
 )
-from .generators import (
-    BuildTrace,
-    diamond_chain,
-    icosahedron,
-    k4,
-    k4_chain,
-    min_degree5_sample,
-    near_triangulation_from,
-    octahedron,
-    planar_three_tree,
-    random_triangulation,
-    recursive_eulerian,
-)
+from .generators import BuildTrace
 from .harness import (
+    FAMILIES,
     audit_conjectures,
     emit,
     load_reports,
@@ -60,20 +49,6 @@ from .plane_graph import (
     neighborhood_structure,
     to_pgr,
 )
-
-_GEN_FAMILIES = (
-    "k4",
-    "octahedron",
-    "icosahedron",
-    "random",
-    "near",
-    "three_tree",
-    "eulerian",
-    "diamond",
-    "k4_chain",
-    "min_degree5",
-)
-
 
 def _env_seed(default: int) -> int:
     raw = os.environ.get("DOMTRI_SEED")
@@ -97,51 +72,25 @@ def _write_out(text: str, path: str | None) -> None:
 
 def _cmd_gen(args) -> int:
     seed = _env_seed(args.seed)
-    trace = None
-    if args.family in ("k4", "octahedron", "icosahedron"):
-        g = {"k4": k4, "octahedron": octahedron, "icosahedron": icosahedron}[
-            args.family
-        ]()
-    elif args.family == "random":
-        if args.n is None:
-            raise SystemExit("gen random needs --n")
-        g = random_triangulation(args.n, seed, flips=args.flips)
-    elif args.family == "near":
-        if args.n is None:
-            raise SystemExit("gen near needs --n (vertex count before deletion)")
-        base = random_triangulation(args.n, seed, flips=args.flips)
-        g, _ = near_triangulation_from(base, seed % args.n)
-    elif args.family == "three_tree":
-        if args.n is None:
-            raise SystemExit("gen three_tree needs --n")
-        g, trace = planar_three_tree(args.n, seed)
-    elif args.family == "eulerian":
-        if args.t is None:
-            raise SystemExit("gen eulerian needs --t (insertion rounds)")
-        g, trace = recursive_eulerian(args.t, seed)
-    elif args.family == "diamond":
-        if args.k is None:
-            raise SystemExit("gen diamond needs --k (gadget count, >= 2)")
-        g = diamond_chain(args.k)
-    elif args.family == "k4_chain":
-        if args.k is None:
-            raise SystemExit("gen k4_chain needs --k (block count, >= 2)")
-        g, _ = k4_chain(args.k)
-    elif args.family == "min_degree5":
-        if args.n is None:
-            raise SystemExit("gen min_degree5 needs --n")
-        g = min_degree5_sample(args.n, seed)
-        if g is None:
-            print(f"no min-degree-5 triangulation found at n={args.n}", file=sys.stderr)
-            return 1
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown family {args.family}")
+    fam = FAMILIES[args.family]
+    params = {}
+    if fam.size is not None:
+        params[fam.size] = getattr(args, fam.size)
+        if params[fam.size] is None:
+            raise SystemExit(f"gen {args.family} needs --{fam.size}")
+    if fam.flips:
+        params["flips"] = args.flips
+    g, extra = fam.build(seed, **params)
+    if g is None:
+        size = params[fam.size]
+        print(f"no {args.family} graph found at {fam.size}={size}", file=sys.stderr)
+        return 1
 
     _write_out(to_pgr(g), args.output)
     if args.trace:
-        if trace is None:
+        if "trace" not in extra:
             raise SystemExit(f"family {args.family} has no build trace")
-        Path(args.trace).write_text(trace.to_json() + "\n")
+        Path(args.trace).write_text(extra["trace"].to_json() + "\n")
     return 0
 
 
@@ -281,9 +230,7 @@ def _cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    raw = os.environ.get("DOMTRI_SEED")
-    if raw is not None:
-        cfg = dataclasses.replace(cfg, seed=int(raw))
+    cfg = dataclasses.replace(cfg, seed=_env_seed(cfg.seed))
     reports = run_sweep(cfg)
     stem = args.out or cfg.out or "reports/sweep"
     paths = emit(reports, stem, include_timings=cfg.timings)
@@ -329,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a graph and write it as PGR")
-    g.add_argument("family", choices=_GEN_FAMILIES)
+    g.add_argument("family", choices=tuple(FAMILIES))
     g.add_argument("--n", type=int, help="vertex count (size families)")
     g.add_argument("--k", type=int, help="block/gadget count (chain families)")
     g.add_argument("--t", type=int, help="insertion rounds (eulerian)")

@@ -345,15 +345,29 @@ def exact_gamma(g: PlaneGraph, limit: OracleLimit = GAMMA_LIMIT) -> DominationRe
 
 
 @dataclass(frozen=True)
-class BoundCheck:
+class BoundRecord:
+    """One checked comparison `lhs op rhs`; both sides are kept as
+    Fractions."""
+
     name: str
     lhs: Fraction
     rhs: Fraction
-    strict: bool = False
+    op: str = "<="
+    level: str = "bound"  # bound | invariant | conjecture | finding
+
+    def __post_init__(self):
+        if self.op not in ("<=", "<", "=="):
+            raise ValueError(f"unknown comparison {self.op!r}")
+        object.__setattr__(self, "lhs", Fraction(self.lhs))
+        object.__setattr__(self, "rhs", Fraction(self.rhs))
 
     @property
     def holds(self) -> bool:
-        return self.lhs < self.rhs if self.strict else self.lhs <= self.rhs
+        if self.op == "<=":
+            return self.lhs <= self.rhs
+        if self.op == "<":
+            return self.lhs < self.rhs
+        return self.lhs == self.rhs
 
 
 @dataclass(frozen=True)
@@ -364,7 +378,7 @@ class CombinatorAccounting:
     y_count: int
     f4_h: int
     outer_count: int
-    checks: tuple[BoundCheck, ...]
+    checks: tuple[BoundRecord, ...]
 
     @property
     def holds(self) -> bool:
@@ -421,30 +435,26 @@ def verify_combinator_accounting(
         1 for fid in placement.x_region_faces.values() if h.faces[fid].degree % 2
     )
     checks = [
-        BoundCheck("x_holes_even_degree", Fraction(odd_holes), Fraction(0)),
-        BoundCheck("x_in_even_inner_faces", Fraction(len(x)), Fraction(even_inner)),
-        BoundCheck("interior_face_budget", Fraction(2 * len(x)), Fraction(h.n - 2 + f4)),
-        BoundCheck("faces_inequality", Fraction(faces_ineq.lhs), Fraction(faces_ineq.rhs)),
-        BoundCheck(
-            "faces_inequality_strengthened",
-            Fraction(faces_ineq.lhs),
-            faces_ineq.strengthened_rhs,
+        BoundRecord("x_holes_even_degree", odd_holes, 0),
+        BoundRecord("x_in_even_inner_faces", len(x), even_inner),
+        BoundRecord("interior_face_budget", 2 * len(x), h.n - 2 + f4),
+        BoundRecord("faces_inequality", faces_ineq.lhs, faces_ineq.rhs),
+        BoundRecord(
+            "faces_inequality_strengthened", faces_ineq.lhs, faces_ineq.strengthened_rhs
         ),
-        BoundCheck("weighted_deletion_budget", Fraction(3 * len(x) + len(y)), Fraction(n - 2 + f4)),
-        BoundCheck("y_at_most_half_outer", Fraction(len(y)), Fraction(o, 2)),
-        BoundCheck("three_s", Fraction(3 * len(s)), Fraction(n - 2 + f4 + o)),
-        BoundCheck("f4_plus_outer", Fraction(f4 + o), Fraction(n + 1)),
-        BoundCheck("near_bound", Fraction(result.size), Fraction(5 * n, 12), strict=True),
+        BoundRecord("weighted_deletion_budget", 3 * len(x) + len(y), n - 2 + f4),
+        BoundRecord("y_at_most_half_outer", len(y), Fraction(o, 2)),
+        BoundRecord("three_s", 3 * len(s), n - 2 + f4 + o),
+        BoundRecord("f4_plus_outer", f4 + o, n + 1),
+        BoundRecord("near_bound", result.size, Fraction(5 * n, 12), "<"),
     ]
     # the averaging over the four candidate sets needs all classes
     # nonempty; the fallback path bounds the smallest nonempty class
     # directly instead
     if not result.used_fallback:
         checks.append(
-            BoundCheck(
-                "combined_size",
-                Fraction(result.size),
-                Fraction(n, 3) + Fraction(f4 + o - 2, 12),
+            BoundRecord(
+                "combined_size", result.size, Fraction(n, 3) + Fraction(f4 + o - 2, 12)
             )
         )
     if result.used_fallback:
@@ -454,43 +464,23 @@ def verify_combinator_accounting(
         bad = sum(
             0 if is_dominating(g, c.class_members(i)) else 1 for i in nonempty
         )
-        checks.append(BoundCheck("fallback_classes_dominating", Fraction(bad), Fraction(0)))
-        checks.append(
-            BoundCheck("fallback_size", Fraction(result.size), Fraction(n, 3))
-        )
+        checks.append(BoundRecord("fallback_classes_dominating", bad, 0))
+        checks.append(BoundRecord("fallback_size", result.size, Fraction(n, 3)))
 
     if cls.category is Category.PLANAR_TRIANGULATION:
-        checks.append(BoundCheck("planar_y", Fraction(len(y)), Fraction(1)))
-        checks.append(
-            BoundCheck("planar_three_s", Fraction(3 * len(s)), Fraction(n + f4))
-        )
-        checks.append(
-            BoundCheck("planar_f4", Fraction(f4), Fraction(2 * n - 4, 4))
-        )
-        checks.append(
-            BoundCheck("planar_f4_strict", Fraction(f4), Fraction(n, 2), strict=True)
-        )
+        checks.append(BoundRecord("planar_y", len(y), 1))
+        checks.append(BoundRecord("planar_three_s", 3 * len(s), n + f4))
+        checks.append(BoundRecord("planar_f4", f4, Fraction(2 * n - 4, 4)))
+        checks.append(BoundRecord("planar_f4_strict", f4, Fraction(n, 2), "<"))
         if not result.used_fallback:
             checks.append(
-                BoundCheck(
-                    "planar_size",
-                    Fraction(result.size),
-                    Fraction(n + len(s), 4),
-                )
+                BoundRecord("planar_size", result.size, Fraction(n + len(s), 4))
             )
-        checks.append(
-            BoundCheck(
-                "planar_bound", Fraction(result.size), Fraction(3 * n, 8), strict=True
-            )
-        )
+        checks.append(BoundRecord("planar_bound", result.size, Fraction(3 * n, 8), "<"))
         if cls.min_degree == 5:
-            checks.append(BoundCheck("min5_f4_zero", Fraction(f4), Fraction(0)))
-            checks.append(
-                BoundCheck("min5_s", Fraction(len(s)), Fraction(n, 3))
-            )
-            checks.append(
-                BoundCheck("min5_bound", Fraction(result.size), Fraction(n, 3))
-            )
+            checks.append(BoundRecord("min5_f4_zero", f4, 0))
+            checks.append(BoundRecord("min5_s", len(s), Fraction(n, 3)))
+            checks.append(BoundRecord("min5_bound", result.size, Fraction(n, 3)))
 
     report = CombinatorAccounting(
         n=n,

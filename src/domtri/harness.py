@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .coloring import (
     Coloring,
@@ -25,6 +26,7 @@ from .coloring import (
     stacked_four_coloring,
 )
 from .domination import (
+    BoundRecord,
     DominationResult,
     OracleLimit,
     OracleLimitExceeded,
@@ -61,43 +63,8 @@ from .plane_graph import (
 
 # -- report records -----------------------------------------------------------
 
-_OPS = {"<=", "<", "=="}
-
-
-def _cmp(lhs: Fraction, rhs: Fraction, op: str) -> bool:
-    if op == "<=":
-        return lhs <= rhs
-    if op == "<":
-        return lhs < rhs
-    return lhs == rhs
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-@dataclass(frozen=True)
-class BoundRecord:
-    """One checked comparison: `lhs op rhs` with the rhs recomputed from
-    the bound's closed form at the instance's n."""
-
-    name: str
-    lhs: Fraction
-    rhs: Fraction
-    op: str = "<="
-    level: str = "bound"  # bound | invariant | conjecture | finding
-
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValueError(f"unknown comparison {self.op!r}")
-
-    @property
-    def holds(self) -> bool:
-        return _cmp(self.lhs, self.rhs, self.op)
 
 
 @dataclass(frozen=True)
@@ -152,13 +119,7 @@ class BoundReport:
     def from_json(line: str) -> "BoundReport":
         doc = json.loads(line)
         records = tuple(
-            BoundRecord(
-                r["name"],
-                Fraction(r["lhs"]),
-                Fraction(r["rhs"]),
-                r["op"],
-                r["level"],
-            )
+            BoundRecord(r["name"], r["lhs"], r["rhs"], r["op"], r["level"])
             for r in doc["records"]
         )
         return BoundReport(
@@ -177,21 +138,6 @@ class BoundReport:
 
 
 # -- sweep config -------------------------------------------------------------
-
-_KNOWN_FAMILIES = (
-    "k4",
-    "octahedron",
-    "icosahedron",
-    "random",
-    "near",
-    "three_tree",
-    "eulerian",
-    "diamond",
-    "k4_chain",
-    "min_degree5",
-    "all_odd",
-    "plane",
-)
 
 _DEFAULT_CHECKS = ("structure", "coloring", "accounting", "oracles")
 
@@ -246,6 +192,18 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
             out.extend(range(int(lo), int(hi) + 1))
         elif part:
             out.append(int(part))
+    if not out:
+        raise ValueError(f"no integers in {raw!r}")
+    return tuple(out)
+
+
+def _parse_pairs(raw: str) -> tuple[tuple[int, int], ...]:
+    """Accepts 'n:seed' pairs separated by commas; empty means none."""
+    out = []
+    for part in raw.split(","):
+        if part.strip():
+            a, b = part.split(":")
+            out.append((int(a), int(b)))
     return tuple(out)
 
 
@@ -272,7 +230,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     fams = tuple(
         f.strip() for f in (take("families", "") or "").split(",") if f.strip()
     )
-    unknown = [f for f in fams if f not in _KNOWN_FAMILIES]
+    unknown = [f for f in fams if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families: {unknown}")
     iota_max = int(take("iota_max_n", "35"))
@@ -289,6 +247,15 @@ def parse_sweep_config(text: str) -> SweepConfig:
     if timings_raw not in ("on", "off", "yes", "no", "true", "false"):
         raise ValueError(f"timings must be on/off, got {timings_raw!r}")
     out = take("out", None)
+    for key, value in pairs:
+        family, _, name = key.partition(".")
+        parse = FAMILIES[family].keys().get(name) if family in FAMILIES else None
+        if parse is None:
+            raise ValueError(f"unknown key {key!r}")
+        try:
+            parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return SweepConfig(
         seed=seed,
         families=fams,
@@ -311,7 +278,7 @@ class _Ctx:
     errors: list[str] = field(default_factory=list)
 
     def rec(self, name, lhs, rhs, op="<=", level="bound"):
-        self.records.append(BoundRecord(name, _frac(lhs), _frac(rhs), op, level))
+        self.records.append(BoundRecord(name, lhs, rhs, op, level))
 
     def on(self, check: str) -> bool:
         return check in self.cfg.checks
@@ -431,7 +398,7 @@ def _oracle_checks(ctx: _Ctx, g: PlaneGraph, cls, res: DominationResult | None):
     return iota, gamma
 
 
-def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, trace, iota) -> None:
+def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
     n = g.n
     v4 = [v for v in g.vertices() if g.degree(v) == 4]
     ctx.rec(
@@ -452,7 +419,7 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, trace, iota) -> None:
         ctx.rec("deg4_seven_bound", 7 * len(v4), 6 * n - 12, "<=")
     if not ctx.on("coloring"):
         return
-    six = rec_eulerian_six_coloring(g, trace)
+    six = rec_eulerian_six_coloring(g, extra["trace"])
     ctx.rec("six_coloring_proper", 0 if is_proper(g, six) else 1, 0, "<=", "invariant")
     ctx.rec(
         "six_coloring_5dynamic",
@@ -497,9 +464,9 @@ def _deg4_triangle_violations(g: PlaneGraph, v4) -> int:
     return bad
 
 
-def _three_tree_checks(ctx: _Ctx, g: PlaneGraph, trace, iota) -> None:
+def _three_tree_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
     if ctx.on("coloring"):
-        c = stacked_four_coloring(trace)
+        c = stacked_four_coloring(extra["trace"])
         sizes = class_sizes(c)
         # on 4+ vertices all four stacked classes are nonempty and must dominate
         non_dominating = sum(
@@ -512,6 +479,30 @@ def _three_tree_checks(ctx: _Ctx, g: PlaneGraph, trace, iota) -> None:
         ctx.rec("three_tree_iota_n4", iota.size, Fraction(g.n, 4))
 
 
+def _diamond_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
+    wit = extra["witness"]
+    ok = is_dominating(g, wit) and all(
+        not g.has_edge(u, v) for u in wit for v in wit if u < v
+    )
+    ctx.rec("diamond_witness_ids", 0 if ok else 1, 0, "<=", "invariant")
+    if iota is not None:
+        ctx.rec("diamond_iota_2n7", iota.size, Fraction(2 * g.n, 7), "==")
+
+
+def _k4_chain_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
+    if gamma is not None:
+        ctx.rec("k4_chain_gamma_n4", gamma.size, Fraction(g.n, 4), "==")
+
+
+def _min_degree5_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
+    ctx.rec("min_degree_is_5", min(g.degrees()), 5, "==", "invariant")
+
+
+def _all_odd_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
+    even = sum(1 for d in g.degrees() if d % 2 == 0)
+    ctx.rec("degrees_all_odd", even, 0, "<=", "invariant")
+
+
 def _evaluate(
     ctx: _Ctx,
     g: PlaneGraph,
@@ -522,174 +513,145 @@ def _evaluate(
     _structure_checks(ctx, g, cls)
     res = _combinator_checks(ctx, g, cls)
     iota, gamma = _oracle_checks(ctx, g, cls, res)
-    if family == "eulerian":
-        _eulerian_checks(ctx, g, extra["trace"], iota)
-    elif family == "three_tree":
-        _three_tree_checks(ctx, g, extra["trace"], iota)
-    elif family == "diamond":
-        wit = extra["witness"]
-        ok = is_dominating(g, wit) and all(
-            not g.has_edge(u, v) for u in wit for v in wit if u < v
-        )
-        ctx.rec("diamond_witness_ids", 0 if ok else 1, 0, "<=", "invariant")
-        if iota is not None:
-            ctx.rec("diamond_iota_2n7", iota.size, Fraction(2 * g.n, 7), "==")
-    elif family == "k4_chain":
-        if gamma is not None:
-            ctx.rec("k4_chain_gamma_n4", gamma.size, Fraction(g.n, 4), "==")
-    elif family == "min_degree5":
-        ctx.rec("min_degree_is_5", min(g.degrees()), 5, "==", "invariant")
-    elif family == "all_odd":
-        ctx.rec(
-            "degrees_all_odd",
-            sum(1 for d in g.degrees() if d % 2 == 0),
-            0,
-            "<=",
-            "invariant",
-        )
+    check = FAMILIES[family].check
+    if check is not None:
+        check(ctx, g, extra, iota, gamma)
     return ctx.records, ctx.errors, cls
 
 
-# -- corpus planning ----------------------------------------------------------
+# -- graph families -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """One graph family: how to build it, how a sweep plans its corpus,
+    and which rows it adds to each report.
+
+    `build(seed, **params)` returns `(graph, extra)`.  The graph is None
+    when a sampler gives up (a sweep skips it, `gen` exits 1), and
+    `extra` may carry the build `trace` or a `witness` set.  `plan` is
+    the corpus shape, read from the `<family>.<key>` config values:
+
+    - "fixed": the one graph, seed 0;
+    - "count": `count` graphs whose sizes cycle over the size list;
+    - "sizes": one graph per size, seeded by the size when `seeded`,
+      else seed 0;
+    - "grid": `seeds` seeds for every size;
+    - "pairs": explicit `n:seed` pairs in `instances`.
+    """
+
+    build: Callable[..., tuple[PlaneGraph | None, dict]]
+    size: str | None = None  # size parameter: "n", "k" or "t"
+    plan: str = "fixed"
+    sizes: tuple[int, ...] = ()  # default size list
+    count: int = 0  # default `count`, or seeds per size for "grid"
+    seeded: bool = False
+    options: tuple[tuple[str, int], ...] = ()  # further int keys and defaults
+    flips: bool = False  # build takes a flip-walk length (`gen --flips`)
+    check: Callable[..., None] | None = None  # (ctx, g, extra, iota, gamma)
+
+    def keys(self) -> dict[str, Callable[[str], object]]:
+        """The config keys this family reads, each with its value parser."""
+        shape = {
+            "fixed": {},
+            "count": {self.size: _parse_ints, "count": int},
+            "sizes": {self.size: _parse_ints},
+            "grid": {self.size: _parse_ints, "seeds": int},
+            "pairs": {"instances": _parse_pairs},
+        }[self.plan]
+        return shape | {name: int for name, _ in self.options}
+
+
+# Builders call the generators through this module's names at call time,
+# so wrappers installed on those names (the benchmark's tracer) see every
+# build.
+
+
+def _random(seed, n, flips=None):
+    return random_triangulation(n, seed, flips=flips), {}
+
+
+def _near(seed, n, flips=None):
+    base = random_triangulation(n, seed, flips=flips)
+    return near_triangulation_from(base, seed % n)[0], {}
+
+
+def _traced(g, trace):
+    return g, {"trace": trace}
+
+
+FAMILIES: dict[str, Family] = {
+    "k4": Family(lambda seed: (k4(), {})),
+    "octahedron": Family(lambda seed: (octahedron(), {})),
+    "icosahedron": Family(lambda seed: (icosahedron(), {})),
+    "random": Family(_random, "n", "count", tuple(range(4, 61)), 200, flips=True),
+    "near": Family(_near, "n", "count", tuple(range(5, 61)), 100, flips=True),
+    "three_tree": Family(
+        lambda seed, n: _traced(*planar_three_tree(n, seed)),
+        "n", "count", tuple(range(4, 41)), 100, check=_three_tree_checks,
+    ),
+    "eulerian": Family(
+        lambda seed, t: _traced(*recursive_eulerian(t, seed)),
+        "t", "grid", tuple(range(1, 9)), 5, check=_eulerian_checks,
+    ),
+    "diamond": Family(
+        lambda seed, k: (diamond_chain(k), {"witness": diamond_chain_witness(k)}),
+        "k", "sizes", (2, 3, 4), check=_diamond_checks,
+    ),
+    "k4_chain": Family(
+        lambda seed, k: (k4_chain(k)[0], {}),
+        "k", "sizes", (2, 3, 4, 5), check=_k4_chain_checks,
+    ),
+    "min_degree5": Family(
+        lambda seed, n, **kw: (min_degree5_sample(n, seed, **kw), {}),
+        "n", "sizes", (12, 14, 16), seeded=True, options=(("budget", 60),),
+        check=_min_degree5_checks,
+    ),
+    "all_odd": Family(_random, "n", "pairs", check=_all_odd_checks),
+    "plane": Family(
+        lambda seed, n: (random_connected_plane(n, seed), {}),
+        "n", "count", tuple(range(5, 35)), 100,
+    ),
+}
 
 
 def _plan_family(cfg: SweepConfig, fam_idx: int, family: str):
-    """Yield (graph_id, seed, builder) triples; builder() -> (graph, extra)."""
-    master = cfg.seed
-
-    if family in ("k4", "octahedron", "icosahedron"):
-        build = {"k4": k4, "octahedron": octahedron, "icosahedron": icosahedron}[
-            family
-        ]
-        yield f"{family}", 0, lambda b=build: (b(), {})
+    """Yield (graph_id, seed, params) triples; params go to the builder."""
+    fam = FAMILIES[family]
+    prefix = f"{family}."
+    if fam.plan == "fixed":
+        yield family, 0, {}
         return
-
-    if family == "random":
-        ns = cfg.get_ints("random.n", tuple(range(4, 61)))
-        count = cfg.get_int("random.count", 200)
-        for i in range(count):
-            n = ns[i % len(ns)]
-            seed = split_seed(master, fam_idx, i)
-            yield f"random-{i}", seed, (
-                lambda n=n, s=seed: (random_triangulation(n, s), {})
-            )
+    if fam.plan == "pairs":
+        for n, s in _parse_pairs(cfg.get(prefix + "instances", "")):
+            yield f"{family}-n{n}-s{s}", s, {"n": n}
         return
-
-    if family == "near":
-        ns = cfg.get_ints("near.n", tuple(range(5, 61)))
-        count = cfg.get_int("near.count", 100)
-        for i in range(count):
-            n = ns[i % len(ns)]
-            seed = split_seed(master, fam_idx, i)
-
-            def build(n=n, s=seed):
-                base = random_triangulation(n, s)
-                v = s % n
-                h, _ = near_triangulation_from(base, v)
-                return h, {}
-
-            yield f"near-{i}", seed, build
-        return
-
-    if family == "three_tree":
-        ns = cfg.get_ints("three_tree.n", tuple(range(4, 41)))
-        count = cfg.get_int("three_tree.count", 100)
-        for i in range(count):
-            n = ns[i % len(ns)]
-            seed = split_seed(master, fam_idx, i)
-
-            def build(n=n, s=seed):
-                g, trace = planar_three_tree(n, s)
-                return g, {"trace": trace}
-
-            yield f"three_tree-{i}", seed, build
-        return
-
-    if family == "eulerian":
-        ts = cfg.get_ints("eulerian.t", tuple(range(1, 9)))
-        per_t = cfg.get_int("eulerian.seeds", 5)
-        i = 0
-        for t in ts:
-            for j in range(per_t):
-                seed = split_seed(master, fam_idx, t, j)
-
-                def build(t=t, s=seed):
-                    g, trace = recursive_eulerian(t, s)
-                    return g, {"trace": trace}
-
-                yield f"eulerian-t{t}-{j}", seed, build
-                i += 1
-        return
-
-    if family == "diamond":
-        for k in cfg.get_ints("diamond.k", (2, 3, 4)):
-            yield f"diamond-k{k}", 0, (
-                lambda k=k: (diamond_chain(k), {"witness": diamond_chain_witness(k)})
-            )
-        return
-
-    if family == "k4_chain":
-        for k in cfg.get_ints("k4_chain.k", (2, 3, 4, 5)):
-            yield f"k4_chain-k{k}", 0, (lambda k=k: (k4_chain(k)[0], {}))
-        return
-
-    if family == "min_degree5":
-        ns = cfg.get_ints("min_degree5.n", (12, 14, 16))
-        budget = cfg.get_int("min_degree5.budget", 60)
-        for n in ns:
-            seed = split_seed(master, fam_idx, n)
-
-            def build(n=n, s=seed, b=budget):
-                g = min_degree5_sample(n, s, budget=b)
-                if g is None:
-                    raise _SkipInstance(f"no min-degree-5 sample at n={n}")
-                return g, {}
-
-            yield f"min_degree5-n{n}", seed, build
-        return
-
-    if family == "all_odd":
-        raw = cfg.get("all_odd.instances", "")
-        pairs = []
-        for part in (raw or "").split(","):
-            part = part.strip()
-            if part:
-                a, b = part.split(":")
-                pairs.append((int(a), int(b)))
-        for n, s in pairs:
-            yield f"all_odd-n{n}-s{s}", s, (
-                lambda n=n, s=s: (random_triangulation(n, s), {})
-            )
-        return
-
-    if family == "plane":
-        ns = cfg.get_ints("plane.n", tuple(range(5, 35)))
-        count = cfg.get_int("plane.count", 100)
-        for i in range(count):
-            n = ns[i % len(ns)]
-            seed = split_seed(master, fam_idx, i)
-            yield f"plane-{i}", seed, (
-                lambda n=n, s=seed: (random_connected_plane(n, s), {})
-            )
-        return
-
-    raise ValueError(f"unknown family {family!r}")
-
-
-class _SkipInstance(Exception):
-    pass
+    sizes = cfg.get_ints(prefix + fam.size, fam.sizes)
+    opts = {name: cfg.get_int(prefix + name, default) for name, default in fam.options}
+    if fam.plan == "count":
+        for i in range(cfg.get_int(prefix + "count", fam.count)):
+            seed = split_seed(cfg.seed, fam_idx, i)
+            yield f"{family}-{i}", seed, {fam.size: sizes[i % len(sizes)], **opts}
+    elif fam.plan == "grid":
+        for v in sizes:
+            for j in range(cfg.get_int(prefix + "seeds", fam.count)):
+                seed = split_seed(cfg.seed, fam_idx, v, j)
+                yield f"{family}-{fam.size}{v}-{j}", seed, {fam.size: v, **opts}
+    else:
+        for v in sizes:
+            seed = split_seed(cfg.seed, fam_idx, v) if fam.seeded else 0
+            yield f"{family}-{fam.size}{v}", seed, {fam.size: v, **opts}
 
 
 def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
     reports: list[BoundReport] = []
     for fam_idx, family in enumerate(cfg.families):
-        for graph_id, seed, build in _plan_family(cfg, fam_idx, family):
+        build = FAMILIES[family].build
+        for graph_id, seed, params in _plan_family(cfg, fam_idx, family):
             t0 = time.perf_counter()
             ctx = _Ctx(cfg)
             try:
-                g, extra = build()
-            except _SkipInstance:
-                continue
+                g, extra = build(seed, **params)
             except Exception as exc:  # construction failures are data
                 reports.append(
                     BoundReport(
@@ -706,6 +668,8 @@ def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
                         runtime_ms=(time.perf_counter() - t0) * 1e3,
                     )
                 )
+                continue
+            if g is None:  # a sampler gave up; nothing to check
                 continue
             try:
                 records, errors, cls = _evaluate(ctx, g, family, extra)

@@ -556,105 +556,31 @@ def deletion_placement(
 
 
 def neighborhood_structure(g: PlaneGraph, v: int) -> NeighborhoodStructure:
-    """Spanning cycle or spanning path of G[N(v)], for near triangulations.
+    """Spanning cycle or spanning path of G[N(v)], for near triangulations,
+    read off the rotation of v.
 
-    Returns a cycle whenever G[N(v)] has a Hamiltonian cycle (the link
-    around v, or found by search), otherwise a spanning path.  Asserts
-    the dichotomy: the path case may only occur for v on a non-triangle
-    outer face.
+    Every face at v except the outer one is a triangle, so consecutive
+    rotation neighbours are adjacent except across a gap of the outer
+    face.  A closed link (no gap, degree >= 3) is the cycle.  Otherwise v
+    must lie on a non-triangle outer face, and the rotation opened at its
+    only gap is the path.  Anything else breaches the dichotomy.
     """
     nbrs = g.rotation(v)
     d = len(nbrs)
-    on_outer = v in g.outer_face.boundary
-    outer_triangle = g.outer_face.degree == 3
-
-    if d >= 3:
-        link_closed = all(g.has_edge(nbrs[i], nbrs[(i + 1) % d]) for i in range(d))
-        if link_closed:
-            return NeighborhoodStructure("cycle", tuple(nbrs))
-
-    sub = {u: g.neighbors(u) & set(nbrs) for u in nbrs}
-    cycle = _hamiltonian_cycle(sub)
-    if cycle is not None:
-        return NeighborhoodStructure("cycle", cycle)
-
-    if not (on_outer and not outer_triangle):
+    gaps = [i for i in range(d) if not g.has_edge(nbrs[i], nbrs[(i + 1) % d])]
+    if not gaps and d >= 3:
+        return NeighborhoodStructure("cycle", tuple(nbrs))
+    if v not in g.outer_face.boundary or g.outer_face.degree == 3:
         raise InvariantBreach(
-            f"vertex {v}: no spanning cycle in its neighborhood although it is "
-            "interior or the outer face is a triangle"
+            f"vertex {v}: link is not a cycle although it is interior or the "
+            "outer face is a triangle"
         )
-    path = _link_path(g, v) or _hamiltonian_path(sub)
-    if path is None:
-        raise InvariantBreach(f"vertex {v}: neighborhood has no spanning path")
-    return NeighborhoodStructure("path", path)
-
-
-def _link_path(g: PlaneGraph, v: int) -> tuple[int, ...] | None:
-    """Rotation of v realigned so the outer-face gap sits at the ends."""
-    nbrs = g.rotation(v)
-    d = len(nbrs)
-    if d == 1:
-        return (nbrs[0],)
-    for i in range(d):
-        if not g.has_edge(nbrs[i], nbrs[(i + 1) % d]):
-            order = tuple(nbrs[(i + 1 + j) % d] for j in range(d))
-            if all(g.has_edge(order[j], order[j + 1]) for j in range(d - 1)):
-                return order
-            return None
-    return None
-
-
-def _hamiltonian_cycle(adj: Mapping[int, set | frozenset]) -> tuple[int, ...] | None:
-    verts = sorted(adj)
-    k = len(verts)
-    if k < 3:
-        return None
-    start = verts[0]
-    path = [start]
-    used = {start}
-
-    def extend() -> tuple[int, ...] | None:
-        if len(path) == k:
-            return tuple(path) if start in adj[path[-1]] else None
-        for u in sorted(adj[path[-1]]):
-            if u not in used:
-                path.append(u)
-                used.add(u)
-                got = extend()
-                if got is not None:
-                    return got
-                used.discard(u)
-                path.pop()
-        return None
-
-    return extend()
-
-
-def _hamiltonian_path(adj: Mapping[int, set | frozenset]) -> tuple[int, ...] | None:
-    verts = sorted(adj)
-    k = len(verts)
-    if k == 1:
-        return (verts[0],)
-
-    def extend(path: list[int], used: set[int]) -> tuple[int, ...] | None:
-        if len(path) == k:
-            return tuple(path)
-        for u in sorted(adj[path[-1]]):
-            if u not in used:
-                path.append(u)
-                used.add(u)
-                got = extend(path, used)
-                if got is not None:
-                    return got
-                used.discard(u)
-                path.pop()
-        return None
-
-    for s in verts:
-        got = extend([s], {s})
-        if got is not None:
-            return got
-    return None
+    if not gaps:
+        return NeighborhoodStructure("path", tuple(nbrs))
+    if len(gaps) > 1:
+        raise InvariantBreach(f"vertex {v}: link has {len(gaps)} gaps, not a path")
+    cut = gaps[0] + 1
+    return NeighborhoodStructure("path", tuple(nbrs[cut:] + nbrs[:cut]))
 
 
 # -- faces inequality ---------------------------------------------------------

@@ -9,6 +9,7 @@ independence, domination and degree checks that do not go through the
 oracle.
 """
 
+import hashlib
 import itertools
 import time
 from pathlib import Path
@@ -294,3 +295,8 @@ def test_criterion_10_deterministic_reports(tmp_path):
     assert [p.name for p in first] == [p.name for p in second]
     for pa, pb in zip(first, second):
         assert pa.read_bytes() == pb.read_bytes()
+    # the seed-1 full.cfg report; perfbench/pins.json pins the same digest
+    jsonl = next(p for p in first if p.suffix == ".jsonl")
+    assert hashlib.sha256(jsonl.read_bytes()).hexdigest() == (
+        "26dfe2ca9d340b0867e31dc5b3b1368bf7ee26633acf439a390a1950ba14f5c2"
+    )

@@ -162,6 +162,11 @@ def test_sweep_bad_config_is_usage_error(tmp_path, capsys):
     assert "config error" in err
     code, _, err = run(capsys, "sweep", "-c", str(tmp_path / "missing.cfg"))
     assert code == 2
+    for bad in ("random.cout = 3", "random.count = abc", "all_odd.instances = 8"):
+        cfg.write_text(f"families = random, all_odd\n{bad}\n")
+        code, out, err = run(capsys, "sweep", "-c", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and bad.split()[0] in err
 
 
 def test_sweep_seed_env_override(tmp_path, capsys, monkeypatch):
@@ -179,3 +184,6 @@ def test_sweep_seed_env_override(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "-c", str(cfg), "-o", str(c)]) == 0
     capsys.readouterr()
     assert a.with_suffix(".jsonl").read_bytes() != c.with_suffix(".jsonl").read_bytes()
+    monkeypatch.setenv("DOMTRI_SEED", "abc")
+    with pytest.raises(SystemExit, match="integer"):
+        main(["sweep", "-c", str(cfg), "-o", str(tmp_path / "d")])

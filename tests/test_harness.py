@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from domtri import (
     random_triangulation,
     render_table,
     run_sweep,
+    to_pgr,
 )
+from domtri.harness import FAMILIES
 
 TINY_CONFIG = """\
 # desk-scale smoke corpus
@@ -98,12 +101,8 @@ def test_parse_config_values_and_ranges():
     assert cfg.get_ints("eulerian.t", ()) == (1, 2)
     assert cfg.get_int("eulerian.seeds", 5) == 2
     assert cfg.get_ints("mixed", (0,)) == (0,)
-    assert parse_sweep_config("families = k4\nx = 1, 3..5\n").get_ints("x", ()) == (
-        1,
-        3,
-        4,
-        5,
-    )
+    cfg = parse_sweep_config("families = k4\nrandom.n = 1, 3..5\n")
+    assert cfg.get_ints("random.n", ()) == (1, 3, 4, 5)
 
 
 def test_parse_config_rejects_bad_input():
@@ -117,6 +116,20 @@ def test_parse_config_rejects_bad_input():
         parse_sweep_config("families = k4\ntimings = maybe\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_sweep_config("families\n")
+    with pytest.raises(ValueError, match="unknown key 'random.cout'"):
+        parse_sweep_config("families = random\nrandom.cout = 3\n")
+    with pytest.raises(ValueError, match="unknown key 'x'"):
+        parse_sweep_config("families = k4\nx = 1\n")
+    with pytest.raises(ValueError, match="unknown key 'k4.n'"):
+        parse_sweep_config("families = k4\nk4.n = 5\n")
+    with pytest.raises(ValueError, match="random.count"):
+        parse_sweep_config("families = random\nrandom.count = abc\n")
+    with pytest.raises(ValueError, match="all_odd.instances"):
+        parse_sweep_config("families = all_odd\nall_odd.instances = 8\n")
+    with pytest.raises(ValueError, match="random.n"):
+        parse_sweep_config("families = random\nrandom.n = 9..\n")
+    with pytest.raises(ValueError, match="near.n: no integers"):
+        parse_sweep_config("families = near\nnear.n = 6..5\n")
 
 
 def test_config_serialize_round_trip():
@@ -254,3 +267,38 @@ def test_audit_flags_iota_candidates():
     assert not audit.clean
     assert [hit[0] for hit in audit.iota_conj_hits] == ["suspect"]
     assert "CANDIDATE suspect" in audit.render()
+
+
+_SEEDS = (1, 2, 7)
+# (family, seed, params) over every family with n <= 30
+_FAMILY_GRID = (
+    [("k4", 0, {}), ("octahedron", 0, {}), ("icosahedron", 0, {})]
+    + [("random", s, {"n": n}) for n in (4, 11, 30) for s in _SEEDS]
+    + [("near", s, {"n": n}) for n in (5, 12, 30) for s in _SEEDS]
+    + [("three_tree", s, {"n": n}) for n in (4, 13, 30) for s in _SEEDS]
+    + [("eulerian", s, {"t": t}) for t in (1, 2, 3) for s in _SEEDS]
+    + [("diamond", 0, {"k": k}) for k in (2, 3, 4)]
+    + [("k4_chain", 0, {"k": k}) for k in (2, 5, 7)]
+    + [
+        ("min_degree5", s, {"n": n, "budget": 60})
+        for n, s in ((12, 1), (12, 2), (12, 7), (14, 1))
+    ]
+    + [("all_odd", s, {"n": n}) for n, s in ((8, 5), (10, 239), (12, 1589))]
+    + [("plane", s, {"n": n}) for n in (5, 13, 30) for s in _SEEDS]
+)
+
+
+def test_family_builders_reproduce_generator_outputs():
+    # The digest was taken from direct generator calls (random_triangulation,
+    # near_triangulation_from(random_triangulation(n, s), s % n), ...) over
+    # the same grid; a None graph counts as the line "none".
+    assert set(FAMILIES) == {name for name, _, _ in _FAMILY_GRID}
+    parts = []
+    for name, seed, params in _FAMILY_GRID:
+        g, extra = FAMILIES[name].build(seed, **params)
+        parts.append("none\n" if g is None else to_pgr(g))
+        assert ("trace" in extra) == (name in ("three_tree", "eulerian"))
+    assert parts.count("none\n") == 1
+    assert hashlib.sha256("".join(parts).encode()).hexdigest() == (
+        "676188484b9fa1786a821d6971303e5e79f33079f7d47fe3331cc33135a95d7a"
+    )

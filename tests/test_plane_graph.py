@@ -1,10 +1,18 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domtri.generators import icosahedron, k4, octahedron, random_triangulation
+from domtri.generators import (
+    icosahedron,
+    k4,
+    near_triangulation_from,
+    octahedron,
+    planar_three_tree,
+    random_triangulation,
+)
 from domtri.plane_graph import (
     Category,
     EmbeddingError,
@@ -197,6 +205,23 @@ def test_neighborhood_structure_dichotomy():
         assert all(
             disk.has_edge(a, b) for a, b in zip(ns.vertices, ns.vertices[1:])
         )
+
+
+def test_neighborhood_structure_reads_the_rotation():
+    # Outer vertices of this near triangulation have chords in their
+    # links; a spanning-path search took seconds here.
+    g, _ = near_triangulation_from(planar_three_tree(200, 2)[0], 0)
+    kinds = set()
+    t0 = time.perf_counter()
+    for v in g.vertices():
+        ns = neighborhood_structure(g, v)
+        kinds.add(ns.kind)
+        vs = ns.vertices
+        assert sorted(vs) == sorted(g.neighbors(v))
+        steps = zip(vs, vs[1:] + vs[:1]) if ns.kind == "cycle" else zip(vs, vs[1:])
+        assert all(g.has_edge(a, b) for a, b in steps)
+    assert time.perf_counter() - t0 < 0.5
+    assert kinds == {"cycle", "path"}
 
 
 def test_neighborhood_structure_breach_on_bad_input():
