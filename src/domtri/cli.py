@@ -50,6 +50,12 @@ from .plane_graph import (
     to_pgr,
 )
 
+
+class UsageError(Exception):
+    """Bad command-line, config or environment input: `main` prints the
+    message on stderr and returns 2."""
+
+
 def _env_seed(default: int) -> int:
     raw = os.environ.get("DOMTRI_SEED")
     if raw is None:
@@ -57,7 +63,7 @@ def _env_seed(default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"DOMTRI_SEED must be an integer, got {raw!r}")
+        raise UsageError(f"DOMTRI_SEED must be an integer, got {raw!r}") from None
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -77,19 +83,24 @@ def _cmd_gen(args) -> int:
     if fam.size is not None:
         params[fam.size] = getattr(args, fam.size)
         if params[fam.size] is None:
-            raise SystemExit(f"gen {args.family} needs --{fam.size}")
+            raise UsageError(f"gen {args.family} needs --{fam.size}")
     if fam.flips:
         params["flips"] = args.flips
-    g, extra = fam.build(seed, **params)
+    try:
+        g, extra = fam.build(seed, **params)
+    except EmbeddingError:
+        raise
+    except ValueError as exc:  # the builders' range checks on the size
+        raise UsageError(str(exc)) from None
     if g is None:
         size = params[fam.size]
         print(f"no {args.family} graph found at {fam.size}={size}", file=sys.stderr)
         return 1
+    if args.trace and "trace" not in extra:
+        raise UsageError(f"family {args.family} has no build trace")
 
     _write_out(to_pgr(g), args.output)
     if args.trace:
-        if "trace" not in extra:
-            raise SystemExit(f"family {args.family} has no build trace")
         Path(args.trace).write_text(extra["trace"].to_json() + "\n")
     return 0
 
@@ -107,25 +118,26 @@ def _parse_checks(raw: str) -> list[tuple[str, int | None]]:
             out.append(("proper", None))
         elif part == "acyclic":
             out.append(("acyclic", None))
-        elif part.startswith("dynamic:"):
-            out.append(("dynamic", int(part.split(":", 1)[1])))
+        elif part.startswith("dynamic:") and part[8:].isdigit():
+            out.append(("dynamic", int(part[8:])))
         else:
-            raise SystemExit(f"unknown check {part!r} (proper, dynamic:r, acyclic)")
+            raise UsageError(f"unknown check {part!r} (proper, dynamic:r, acyclic)")
     return out
 
 
 def _cmd_color(args) -> int:
+    checks = _parse_checks(args.check or "")
     g = load_pgr(args.graph)
     if args.k == 4:
         c = four_coloring(g)
     else:
         if not args.trace:
-            raise SystemExit("--k 6 needs --trace (the construction history)")
+            raise UsageError("--k 6 needs --trace (the construction history)")
         trace = BuildTrace.from_json(Path(args.trace).read_text())
         c = rec_eulerian_six_coloring(g, trace)
 
     failed = []
-    for kind, r in _parse_checks(args.check or ""):
+    for kind, r in checks:
         if kind == "proper":
             ok = is_proper(g, c)
         elif kind == "acyclic":
@@ -228,8 +240,7 @@ def _cmd_sweep(args) -> int:
     try:
         cfg = parse_sweep_config(Path(args.config).read_text())
     except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"config error: {exc}") from None
     cfg = dataclasses.replace(cfg, seed=_env_seed(cfg.seed))
     reports = run_sweep(cfg)
     stem = args.out or cfg.out or "reports/sweep"
@@ -324,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except InvariantBreach as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 1

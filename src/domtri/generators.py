@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .plane_graph import (
     EmbeddingError,
     PlaneGraph,
-    build_from_rotation,
+    _insert_span,
     deleted_vertex_region_dart,
     delete_vertices,
     flip_edge,
@@ -88,12 +88,7 @@ class BuildTrace:
 # -- rotation surgery helpers -------------------------------------------------
 
 _TRIANGLE_ROT = [[1, 2], [2, 0], [0, 1]]  # outer walk (0, 1, 2)
-_TRIANGLE_OUTER = (0, 1, 2)
-
-
-def _insert_span(rot, v, after, new_list):
-    i = rot[v].index(after)
-    rot[v][i + 1 : i + 1] = new_list
+_TRIANGLE_INNER = (0, 2, 1)  # its one inner face
 
 
 def _stack(rot, walk, w):
@@ -123,8 +118,18 @@ def _triangle_insert(rot, walk, a, b, c):
     rot[c] = [x, b, a, y]
 
 
-def _inner_faces(g: PlaneGraph):
-    return [f for f in g.faces if f.id != g.outer_face_id]
+def _faces_at(rot, vs):
+    """Walks of the triangular faces at the vertices vs, each starting at
+    its smallest vertex.  The face of dart (v, u) is (v, u, w), where w
+    follows v in the rotation at u."""
+    faces = set()
+    for v in vs:
+        for u in rot[v]:
+            r = rot[u]
+            f = (v, u, r[(r.index(v) + 1) % len(r)])
+            i = f.index(min(f))
+            faces.add(f[i:] + f[:i])
+    return faces
 
 
 # -- fixed small graphs -------------------------------------------------------
@@ -132,16 +137,13 @@ def _inner_faces(g: PlaneGraph):
 
 def k4() -> PlaneGraph:
     """Tetrahedron: outer triangle (0, 1, 2) with 3 inside."""
-    return build_from_rotation(
-        4, [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1)], outer=(0, 1, 2)
-    )
+    return PlaneGraph([(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1)], outer_dart=(0, 1))
 
 
 def octahedron() -> PlaneGraph:
     """Octahedron: outer triangle (0, 1, 2), inner triangle (3, 4, 5),
     antipodal (non-adjacent) pairs (0,3), (1,4), (2,5)."""
-    return build_from_rotation(
-        6,
+    return PlaneGraph(
         [
             (1, 5, 4, 2),
             (2, 3, 5, 0),
@@ -150,7 +152,7 @@ def octahedron() -> PlaneGraph:
             (3, 2, 0, 5),
             (3, 4, 0, 1),
         ],
-        outer=(0, 1, 2),
+        outer_dart=(0, 1),
     )
 
 
@@ -158,8 +160,7 @@ def icosahedron() -> PlaneGraph:
     """Icosahedron: the unique 5-regular planar triangulation on 12
     vertices.  Rotations come from a stereographic projection of the
     solid through face (0, 1, 2)."""
-    return build_from_rotation(
-        12,
+    return PlaneGraph(
         [
             (1, 7, 5, 6, 2),
             (0, 2, 8, 3, 7),
@@ -174,7 +175,7 @@ def icosahedron() -> PlaneGraph:
             (4, 6, 5, 11, 9),
             (3, 9, 10, 5, 7),
         ],
-        outer=(0, 1, 2),
+        outer_dart=(0, 1),
     )
 
 
@@ -191,15 +192,18 @@ def planar_three_tree(n: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
         raise ValueError(f"a stacked triangulation needs n >= 3, got {n}")
     rng = random.Random(seed)
     rot = [list(r) for r in _TRIANGLE_ROT]
+    # Inner faces as walks from their smallest vertex; sorted, they come
+    # in the smallest-dart order in which PlaneGraph traces faces.
+    faces = {_TRIANGLE_INNER}
     steps = []
-    g = build_from_rotation(3, rot, outer=_TRIANGLE_OUTER)
     for w in range(3, n):
-        faces = _inner_faces(g)
-        walk = faces[rng.randrange(len(faces))].boundary
+        order = sorted(faces)
+        walk = order[rng.randrange(len(order))]
         _stack(rot, walk, w)
+        faces.remove(walk)
+        faces |= _faces_at(rot, (w,))
         steps.append(TraceStep("stack", walk, (w,)))
-        g = PlaneGraph(rot, outer=_TRIANGLE_OUTER)
-    return g, BuildTrace("three_tree", tuple(steps))
+    return PlaneGraph(rot, outer_dart=(0, 1)), BuildTrace("three_tree", tuple(steps))
 
 
 def recursive_eulerian(t: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
@@ -221,22 +225,24 @@ def recursive_eulerian(t: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
         raise ValueError(f"step count must be >= 0, got {t}")
     rng = random.Random(seed)
     rot = [list(r) for r in _TRIANGLE_ROT]
+    faces = {_TRIANGLE_INNER}
     steps = []
-    g = build_from_rotation(3, rot, outer=_TRIANGLE_OUTER)
     for i in range(t):
-        faces = _inner_faces(g)
-        if g.n >= 6:
-            faces = [
+        order = sorted(faces)
+        if len(rot) >= 6:
+            order = [
                 f
-                for f in faces
-                if all(len(rot[v]) >= 6 for v in f.boundary)
-                or all(len(rot[v]) == 4 for v in f.boundary)
+                for f in order
+                if all(len(rot[v]) >= 6 for v in f)
+                or all(len(rot[v]) == 4 for v in f)
             ]
-        walk = faces[rng.randrange(len(faces))].boundary
+        walk = order[rng.randrange(len(order))]
         a, b, c = 3 + 3 * i, 4 + 3 * i, 5 + 3 * i
         _triangle_insert(rot, walk, a, b, c)
+        faces.remove(walk)
+        faces |= _faces_at(rot, (a, b, c))
         steps.append(TraceStep("triangle", walk, (a, b, c)))
-        g = PlaneGraph(rot, outer=_TRIANGLE_OUTER)
+    g = PlaneGraph(rot, outer_dart=(0, 1))
     return g, BuildTrace("recursive_eulerian", tuple(steps))
 
 
@@ -248,7 +254,7 @@ def replay(trace: BuildTrace) -> PlaneGraph:
             _stack(rot, s.face, s.new[0])
         else:
             _triangle_insert(rot, s.face, *s.new)
-    return PlaneGraph(rot, outer=_TRIANGLE_OUTER)
+    return PlaneGraph(rot, outer_dart=(0, 1))
 
 
 # -- diamond chain ------------------------------------------------------------
@@ -360,7 +366,7 @@ def k4_chain(k: int) -> tuple[PlaneGraph, frozenset[int]]:
         _stack(rot, (a, b, c), u)  # the new K4 {a,b,c,u}
         protected.append(u)
         attach = (a, c, q)
-    g = PlaneGraph(rot, outer=_TRIANGLE_OUTER)
+    g = PlaneGraph(rot, outer_dart=(0, 1))
     return g, frozenset(protected)
 
 
@@ -389,7 +395,7 @@ def random_connected_plane(n: int, seed: int) -> PlaneGraph:
     seeded pass of edge deletions that keep the graph connected."""
     g = random_triangulation(n, split_seed(seed, 4))
     rng = random.Random(split_seed(seed, 5))
-    rot = [list(g.rotation(v)) for v in g.vertices()]
+    adj = [set(g.rotation(v)) for v in g.vertices()]
     edges = list(g.edges())
     rng.shuffle(edges)
     drop_target = rng.randrange(0, len(edges) - (n - 1) + 1)
@@ -397,38 +403,26 @@ def random_connected_plane(n: int, seed: int) -> PlaneGraph:
     for u, v in edges:
         if dropped == drop_target:
             break
-        rot[u].remove(v)
-        rot[v].remove(u)
-        if _connected(rot):
+        adj[u].remove(v)
+        adj[v].remove(u)
+        if _connected(adj):
             dropped += 1
         else:
-            _reinsert(rot, g, u, v)
-    return PlaneGraph(rot)
+            adj[u].add(v)
+            adj[v].add(u)
+    return PlaneGraph([[u for u in g.rotation(v) if u in adj[v]] for v in g.vertices()])
 
 
-def _connected(rot) -> bool:
+def _connected(adj) -> bool:
     seen = {0}
     stack = [0]
     while stack:
         v = stack.pop()
-        for u in rot[v]:
+        for u in adj[v]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == len(rot)
-
-
-def _reinsert(rot, g: PlaneGraph, u: int, v: int):
-    """Put edge uv back preserving the original cyclic order at both ends."""
-    for a, b in ((u, v), (v, u)):
-        if not rot[a]:
-            rot[a].append(b)
-            continue
-        orig = g.rotation(a)
-        after = orig[(orig.index(b) - 1) % len(orig)]
-        while after not in rot[a]:
-            after = orig[(orig.index(after) - 1) % len(orig)]
-        _insert_span(rot, a, after, [b])
+    return len(seen) == len(adj)
 
 
 def near_triangulation_from(g: PlaneGraph, v: int) -> tuple[PlaneGraph, dict[int, int]]:

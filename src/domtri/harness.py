@@ -34,6 +34,7 @@ from .domination import (
     exact_gamma,
     exact_iota,
     is_dominating,
+    is_independent,
     undominated_by,
     verify_combinator_accounting,
 )
@@ -481,9 +482,7 @@ def _three_tree_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> No
 
 def _diamond_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
     wit = extra["witness"]
-    ok = is_dominating(g, wit) and all(
-        not g.has_edge(u, v) for u in wit for v in wit if u < v
-    )
+    ok = is_dominating(g, wit) and is_independent(g, wit)
     ctx.rec("diamond_witness_ids", 0 if ok else 1, 0, "<=", "invariant")
     if iota is not None:
         ctx.rec("diamond_iota_2n7", iota.size, Fraction(2 * g.n, 7), "==")
@@ -737,9 +736,7 @@ def odd_degree_analysis(
         raise InvariantBreach(
             f"odd-degree vertices undominated by some class: {stray}"
         )
-    non_dominating = sum(
-        0 if is_dominating(g, c.class_members(i)) else 1 for i in range(4)
-    )
+    non_dominating = sum(1 for u in u_sets if u)  # class i dominates iff U_i = {}
     if alpha == 1 and non_dominating:
         raise InvariantBreach(
             f"{non_dominating} classes fail to dominate an all-odd triangulation"

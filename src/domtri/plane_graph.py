@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Dart = tuple[int, int]
 
@@ -83,10 +83,10 @@ def _cyclic_canon(seq: Sequence[int]) -> tuple[int, ...]:
     return min(tuple(t[i:] + t[:i]) for i in range(len(t)))
 
 
-def _face_orbits(rotations: Mapping[int, Sequence[int]]) -> list[list[Dart]]:
+def _face_orbits(rotations: Sequence[Sequence[int]]) -> list[list[Dart]]:
     """Dart orbits of a rotation system, in order of their smallest dart."""
-    index = {v: {u: i for i, u in enumerate(rot)} for v, rot in rotations.items()}
-    darts = sorted((u, v) for u, rot in rotations.items() for v in rot)
+    index = [{u: i for i, u in enumerate(rot)} for rot in rotations]
+    darts = sorted((u, v) for u, rot in enumerate(rotations) for v in rot)
     seen: set[Dart] = set()
     orbits: list[list[Dart]] = []
     for start in darts:
@@ -127,7 +127,6 @@ class PlaneGraph:
     def __init__(
         self,
         rotations: Sequence[Sequence[int]],
-        outer: Sequence[int] | None = None,
         outer_dart: Dart | None = None,
     ):
         n = len(rotations)
@@ -160,8 +159,7 @@ class PlaneGraph:
         self._adj = tuple(adj)
         self.edge_count = sum(len(rot) for rot in canon) // 2
 
-        rot_map = {v: rot for v, rot in enumerate(self.rotations)}
-        orbits = _face_orbits(rot_map)
+        orbits = _face_orbits(self.rotations)
         self.component_count = self._count_components()
         isolated = sum(1 for rot in self.rotations if not rot)
         # One face per single-vertex component is implicit (no darts).
@@ -185,7 +183,7 @@ class PlaneGraph:
                 dart_face[d] = i
         self.faces: tuple[Face, ...] = tuple(faces)
         self._dart_face = dart_face
-        self.outer_face_id = self._resolve_outer(outer, outer_dart)
+        self.outer_face_id = self._resolve_outer(outer_dart)
 
     def _count_components(self) -> int:
         seen = [False] * self.n
@@ -204,19 +202,11 @@ class PlaneGraph:
                         stack.append(u)
         return count
 
-    def _resolve_outer(self, outer, outer_dart) -> int:
-        if outer is not None and outer_dart is not None:
-            raise ValueError("give either an outer walk or an outer dart, not both")
+    def _resolve_outer(self, outer_dart) -> int:
         if outer_dart is not None:
             if outer_dart not in self._dart_face:
                 raise EmbeddingError(f"dart {outer_dart} not present")
             return self._dart_face[outer_dart]
-        if outer is not None:
-            want = _cyclic_canon(outer)
-            for f in self.faces:
-                if _cyclic_canon(f.boundary) == want:
-                    return f.id
-            raise EmbeddingError(f"outer hint {tuple(outer)} matches no face walk")
         # No hint: the unique face of maximum degree, with a deterministic
         # tie-break so triangulations built from raw rotations still load.
         best = max(f.degree for f in self.faces)
@@ -290,23 +280,6 @@ class PlaneGraph:
         return f"PlaneGraph(n={self.n}, m={self.edge_count}, outer={self.outer_face.boundary})"
 
 
-def build_from_rotation(
-    n: int,
-    rotations: Sequence[Sequence[int]],
-    outer: Sequence[int] | None = None,
-) -> PlaneGraph:
-    """Validated constructor from per-vertex CCW neighbor orders.
-
-    `outer`, when given, must match some face walk up to cyclic rotation
-    (direction matters: the reversed walk is a different face).  Without
-    a hint the unique maximum-degree face is chosen, smallest canonical
-    walk breaking ties.
-    """
-    if n != len(rotations):
-        raise EmbeddingError(f"n={n} but {len(rotations)} rotations given")
-    return PlaneGraph(rotations, outer=outer)
-
-
 def closed_neighborhood(g: PlaneGraph, s: Iterable[int]) -> frozenset[int]:
     """N[S]: S together with everything adjacent to it.  N[{}] = {}."""
     out = set()
@@ -327,7 +300,13 @@ def classify(g: PlaneGraph) -> GraphClass:
     """Strongest applicable class plus degree/connectivity flags."""
     degs = g.degrees()
     min_deg = min(degs)
-    two_conn = _is_two_connected(g)
+    # A connected plane graph on >= 3 vertices is 2-connected exactly
+    # when every face is bounded by a cycle (Diestel, Prop. 4.2.6).
+    two_conn = (
+        g.n >= 3
+        and g.is_connected
+        and all(len(set(f.boundary)) == f.degree for f in g.faces)
+    )
     all_even = all(d % 2 == 0 for d in degs)
     all_odd = all(d % 2 == 1 for d in degs)
     if not g.is_connected:
@@ -343,46 +322,6 @@ def classify(g: PlaneGraph) -> GraphClass:
     return GraphClass(cat, min_deg, two_conn, all_even, all_odd)
 
 
-def _is_two_connected(g: PlaneGraph) -> bool:
-    """No articulation vertex, connected, at least 3 vertices."""
-    if g.n < 3 or not g.is_connected:
-        return False
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    timer = 0
-    # Iterative lowpoint DFS from vertex 0.
-    stack: list[tuple[int, Iterable[int]]] = [(0, iter(g.neighbors(0)))]
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for u in it:
-            if disc[u] == -1:
-                parent[u] = v
-                disc[u] = low[u] = timer
-                timer += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((u, iter(g.neighbors(u))))
-                advanced = True
-                break
-            elif u != parent[v]:
-                low[v] = min(low[v], disc[u])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if p != 0 and low[v] >= disc[p]:
-                    return False
-    if root_children > 1:
-        return False
-    return all(d != -1 for d in disc)
-
-
 # -- deletion ---------------------------------------------------------------
 
 
@@ -391,11 +330,11 @@ def delete_vertices(
 ) -> tuple[PlaneGraph, dict[int, int]]:
     """Induced sub-embedding after removing `s`, plus old-id -> new-id map.
 
-    Rotations of survivors are filtered in place and faces recomputed, so
+    Rotations of survivors are filtered once and faces recomputed, so
     face identity is not preserved.  The outer face of the result is the
-    face whose region absorbed the old outer region (tracked through one
-    deletion at a time).  A disconnected result is permitted; callers
-    should consult `.is_connected`.
+    face whose region absorbed the old outer region; for a disconnected
+    result it is one of that region's boundary orbits.  A disconnected
+    result is permitted; callers should consult `.is_connected`.
     """
     s = frozenset(s)
     for v in s:
@@ -405,56 +344,28 @@ def delete_vertices(
     if len(s) == g.n:
         raise ValueError("cannot delete every vertex")
 
-    rot = {v: list(g.rotations[v]) for v in range(g.n)}
-    ob = g.outer_face.boundary
-    outer_dart: Dart | None = None
-    if len(ob) >= 2:
-        outer_dart = (ob[0], ob[1])
-    elif g.n >= 2:
-        outer_dart = None  # single-vertex outer; resolved at rebuild
-
-    for v in sorted(s):
-        if outer_dart is not None and v in outer_dart:
-            outer_dart = _replacement_outer_dart(rot, outer_dart, v)
-        del rot[v]
-        for u in rot:
-            rot[u] = [w for w in rot[u] if w != v]
-
-    survivors = sorted(rot)
+    survivors = [v for v in range(g.n) if v not in s]
     relabel = {old: new for new, old in enumerate(survivors)}
-    new_rot = [[relabel[w] for w in rot[old]] for old in survivors]
-    if outer_dart is not None:
-        a, b = outer_dart
-        h = PlaneGraph(new_rot, outer_dart=(relabel[a], relabel[b]))
-    else:
-        h = PlaneGraph(new_rot)
-    return h, relabel
-
-
-def _replacement_outer_dart(
-    rot: Mapping[int, Sequence[int]], outer_dart: Dart, v: int
-) -> Dart | None:
-    """A dart avoiding v that stays on the region absorbing the outer face.
-
-    When v sits on the current outer walk, the outer region merges with
-    every face incident to v, so any dart of those faces that misses v
-    still bounds the merged region afterwards.
-    """
-    orbits = _face_orbits(rot)
-    by_dart = {}
-    for orbit in orbits:
-        for d in orbit:
-            by_dart[d] = orbit
-    for a, b in by_dart[outer_dart]:
-        if v not in (a, b):
-            return (a, b)
-    # Outer walk entirely on v: fall back to darts of any face at v.
-    for orbit in orbits:
-        if any(v in d for d in orbit):
-            for a, b in orbit:
-                if v not in (a, b):
-                    return (a, b)
-    return None
+    rot = [[relabel[w] for w in g.rotations[v] if w not in s] for v in survivors]
+    # Deleting a vertex merges every face around it, so the old outer
+    # region grows through each deleted vertex it reaches.  Any dart of
+    # the merged faces that avoids S bounds the region that absorbed it.
+    region = [g.outer_face_id]
+    seen = set(region)
+    for fid in region:
+        for v in g.faces[fid].boundary:
+            if v in s:
+                for u in g.rotations[v]:
+                    f = g._dart_face[(v, u)]
+                    if f not in seen:
+                        seen.add(f)
+                        region.append(f)
+    for fid in region:
+        walk = g.faces[fid].boundary
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            if a not in s and b not in s:
+                return PlaneGraph(rot, outer_dart=(relabel[a], relabel[b])), relabel
+    return PlaneGraph(rot), relabel
 
 
 def deleted_vertex_region_dart(g: PlaneGraph, v: int) -> Dart:
@@ -636,16 +547,17 @@ def flip_edge(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
     # In the face walk of f_uv = (u, v, x) the dart into x comes from v,
     # so at x the edge to y is inserted right after v in rotation order;
     # symmetrically at y it goes right after u.
-    _insert_after(rot, x, v, y)
-    _insert_after(rot, y, u, x)
+    _insert_span(rot, x, v, [y])
+    _insert_span(rot, y, u, [x])
 
     ob = g.outer_face.boundary
     return PlaneGraph(rot, outer_dart=(ob[0], ob[1]))
 
 
-def _insert_after(rot: list[list[int]], v: int, after: int, new: int) -> None:
+def _insert_span(rot: list[list[int]], v: int, after: int, new: list[int]) -> None:
+    """Splice `new` into the rotation of v right after neighbor `after`."""
     i = rot[v].index(after)
-    rot[v].insert(i + 1, new)
+    rot[v][i + 1 : i + 1] = new
 
 
 # -- PGR v1 text format -------------------------------------------------------
@@ -703,7 +615,14 @@ def parse_pgr(text: str) -> PlaneGraph:
             raise EmbeddingError(f"duplicate vertex line for {v}")
         seen[v] = True
         rotations[v] = rot
-    return PlaneGraph(rotations, outer=outer if outer else None)
+    if not outer:
+        return PlaneGraph(rotations)
+    g = PlaneGraph(rotations, outer_dart=tuple(outer[:2]))
+    if _cyclic_canon(g.outer_face.boundary) != _cyclic_canon(outer):
+        raise EmbeddingError(
+            f"outer walk {tuple(outer)} is not the face of its first dart"
+        )
+    return g
 
 
 def load_pgr(path) -> PlaneGraph:

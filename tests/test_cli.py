@@ -36,18 +36,28 @@ def test_gen_seed_env_override(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert load_pgr(p) == random_triangulation(12, 9)
     monkeypatch.setenv("DOMTRI_SEED", "elephant")
-    with pytest.raises(SystemExit, match="integer"):
-        main(["gen", "random", "--n", "12", "-o", str(p)])
+    code, _, err = run(capsys, "gen", "random", "--n", "12", "-o", str(p))
+    assert code == 2
+    assert "DOMTRI_SEED must be an integer" in err
 
 
-def test_gen_missing_size_argument():
-    with pytest.raises(SystemExit, match="--n"):
-        main(["gen", "random"])
+def test_gen_missing_size_argument(capsys):
+    code, out, err = run(capsys, "gen", "random")
+    assert (code, out) == (2, "")
+    assert "gen random needs --n" in err
+    # sizes outside a builder's range are usage errors too, not tracebacks
+    code, out, err = run(capsys, "gen", "diamond", "--k", "1")
+    assert (code, out) == (2, "")
+    assert "diamond chain needs k >= 2" in err
+    code, out, err = run(capsys, "gen", "random", "--n", "2")
+    assert (code, out) == (2, "")
+    assert "needs n >= 3" in err
 
 
-def test_gen_trace_only_for_traced_families(tmp_path):
-    with pytest.raises(SystemExit, match="trace"):
-        main(["gen", "k4", "--trace", str(tmp_path / "t.json")])
+def test_gen_trace_only_for_traced_families(tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "k4", "--trace", str(tmp_path / "t.json"))
+    assert (code, out) == (2, "")
+    assert "family k4 has no build trace" in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -87,6 +97,9 @@ def test_color_with_checks(tmp_path, capsys):
     assert code == 0
     assert "# check proper: ok" in err
     assert out.startswith("# coloring k=4")
+    code, out, err = run(capsys, "color", str(p), "--check", "planar")
+    assert (code, out) == (2, "")
+    assert "unknown check 'planar'" in err
 
 
 def test_color_six_needs_trace(tmp_path, capsys):
@@ -94,8 +107,9 @@ def test_color_six_needs_trace(tmp_path, capsys):
     t = tmp_path / "trace.json"
     main(["gen", "eulerian", "--t", "2", "--seed", "3", "-o", str(p), "--trace", str(t)])
     capsys.readouterr()
-    with pytest.raises(SystemExit, match="--trace"):
-        main(["color", str(p), "--k", "6"])
+    code, out, err = run(capsys, "color", str(p), "--k", "6")
+    assert (code, out) == (2, "")
+    assert "--k 6 needs --trace" in err
     code, out, err = run(
         capsys, "color", str(p), "--k", "6", "--trace", str(t),
         "--check", "proper,dynamic:5",
@@ -185,5 +199,6 @@ def test_sweep_seed_env_override(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert a.with_suffix(".jsonl").read_bytes() != c.with_suffix(".jsonl").read_bytes()
     monkeypatch.setenv("DOMTRI_SEED", "abc")
-    with pytest.raises(SystemExit, match="integer"):
-        main(["sweep", "-c", str(cfg), "-o", str(tmp_path / "d")])
+    code, _, err = run(capsys, "sweep", "-c", str(cfg), "-o", str(tmp_path / "d"))
+    assert code == 2
+    assert "DOMTRI_SEED must be an integer" in err

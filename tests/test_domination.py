@@ -9,7 +9,7 @@ from domtri import (
     DominationResult,
     OracleLimit,
     OracleLimitExceeded,
-    build_from_rotation,
+    PlaneGraph,
     class_combinator,
     diamond_chain,
     exact_gamma,
@@ -56,7 +56,7 @@ def small_corpus():
     yield "k4", k4()
     yield "octahedron", octahedron()
     yield "icosahedron", icosahedron()
-    yield "hex_disk", build_from_rotation(6, HEX_DISK_ROT, outer=(0, 1, 2, 3, 4, 5))
+    yield "hex_disk", PlaneGraph(HEX_DISK_ROT, outer_dart=(0, 1))
     for n, seed in ((8, 1), (10, 2), (12, 3)):
         yield f"tri_{n}_{seed}", random_triangulation(n, seed)
     base = random_triangulation(11, 4)
@@ -216,7 +216,7 @@ def test_accounting_needs_union_s():
 
 def test_accounting_rejects_plane_graph():
     rot = [[1, 3], [2, 0], [3, 1], [0, 2]]
-    g = build_from_rotation(4, rot, outer=(0, 1, 2, 3))
+    g = PlaneGraph(rot, outer_dart=(0, 1))
     c = Coloring(4, (0, 1, 0, 1))
     r = class_combinator(g, c)
     with pytest.raises(ValueError, match="near triangulations"):

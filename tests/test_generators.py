@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from domtri.generators import (
     replay,
     split_seed,
 )
-from domtri.plane_graph import Category, classify
+from domtri.plane_graph import Category, classify, to_pgr
 
 # all-odd triangulations located by rejection sampling over
 # random_triangulation(n, seed); regenerating from (n, seed) is instant
@@ -92,6 +94,26 @@ def test_recursive_eulerian_shape():
     one_step = recursive_eulerian(1, 0)[0]
     assert one_step.degrees() == (4,) * 6  # the octahedron, relabeled
     assert recursive_eulerian(5, 9)[0] == recursive_eulerian(5, 9)[0]
+
+
+def test_large_growth_is_pinned_and_fast():
+    # Digests of to_pgr plus the trace JSON, taken when both families still
+    # rebuilt the whole map after every step (1.7 s and 0.7 s here); the
+    # face set read off the rotation must pick the same faces in the same
+    # order.
+    cases = (
+        (planar_three_tree, 400, "252030a6756b04a5fb75db7fb1ec8b80"
+         "fde73b95511fe0273b678bed8082799b"),
+        (recursive_eulerian, 133, "416593cb8052a3dae38266dd482411f5"
+         "dab603aa074ce48b720c94eed77b302b"),
+    )
+    for build, size, digest in cases:
+        t0 = time.perf_counter()
+        g, trace = build(size, 2)
+        elapsed = time.perf_counter() - t0
+        text = to_pgr(g) + trace.to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, build.__name__
+        assert elapsed < 0.5, (build.__name__, elapsed)
 
 
 def test_recursive_eulerian_degree4_triangles():

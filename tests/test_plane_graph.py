@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 import time
 from fractions import Fraction
 
@@ -6,19 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domtri.generators import (
+    diamond_chain,
     icosahedron,
     k4,
+    k4_chain,
     near_triangulation_from,
     octahedron,
     planar_three_tree,
+    random_connected_plane,
     random_triangulation,
+    recursive_eulerian,
 )
 from domtri.plane_graph import (
     Category,
     EmbeddingError,
     InvariantBreach,
     PlaneGraph,
-    build_from_rotation,
     check_faces_inequality,
     classify,
     closed_neighborhood,
@@ -48,11 +54,11 @@ FOUR_CYCLE_ROT = [[1, 3], [0, 2], [1, 3], [0, 2]]
 
 
 def hex_disk() -> PlaneGraph:
-    return build_from_rotation(6, HEX_DISK_ROT, outer=(0, 1, 2, 3, 4, 5))
+    return PlaneGraph(HEX_DISK_ROT, outer_dart=(0, 1))
 
 
 def test_k4_structure():
-    g = build_from_rotation(4, K4_ROT, outer=(0, 1, 2))
+    g = PlaneGraph(K4_ROT, outer_dart=(0, 1))
     assert g.n == 4
     assert g.edge_count == 6
     assert len(g.faces) == 4
@@ -71,7 +77,7 @@ def test_k4_classification():
 
 
 def test_rotations_are_canonicalized():
-    g = build_from_rotation(4, [[3, 2, 1], [2, 3, 0], [3, 1, 0], [1, 2, 0]])
+    g = PlaneGraph([[3, 2, 1], [2, 3, 0], [3, 1, 0], [1, 2, 0]])
     assert all(rot[0] == min(rot) for rot in g.rotations)
 
 
@@ -94,14 +100,17 @@ def test_malformed_rotations_rejected():
 
 
 def test_outer_hints():
-    g = build_from_rotation(4, K4_ROT, outer=(1, 2, 0))
+    g = PlaneGraph(K4_ROT, outer_dart=(1, 2))
     assert set(g.outer_face.boundary) == {0, 1, 2}
-    d = PlaneGraph(K4_ROT, outer_dart=(0, 1))
-    assert d.outer_face_id == d.face_of_dart(0, 1)
-    with pytest.raises(ValueError, match="not both"):
-        PlaneGraph(K4_ROT, outer=(0, 1, 2), outer_dart=(0, 1))
-    with pytest.raises(EmbeddingError, match="matches no face"):
-        build_from_rotation(6, HEX_DISK_ROT, outer=(5, 4, 3, 2, 1, 0))
+    assert g.outer_face_id == g.face_of_dart(1, 2)
+    with pytest.raises(EmbeddingError, match="not present"):
+        PlaneGraph(K4_ROT, outer_dart=(0, 0))
+    # A PGR outer walk must be the face its first dart names; the reversed
+    # hexagon starts with dart (5, 4), which lies on a triangle.
+    text = to_pgr(hex_disk())
+    assert text.startswith("pgr 1 6 0 1 2 3 4 5\n")
+    with pytest.raises(EmbeddingError, match="outer walk"):
+        parse_pgr(text.replace("0 1 2 3 4 5", "5 4 3 2 1 0", 1))
 
 
 def test_hex_disk_faces():
@@ -114,9 +123,51 @@ def test_hex_disk_faces():
 
 
 def test_four_cycle_is_plain_plane_graph():
-    g = build_from_rotation(4, FOUR_CYCLE_ROT)
+    g = PlaneGraph(FOUR_CYCLE_ROT)
     assert face_degree_histogram(g) == {4: 2}
     assert classify(g).category is Category.CONNECTED_PLANE
+
+
+def _brute_two_connected(g):
+    """Connected, at least 3 vertices, and no single removal disconnects."""
+
+    def connected_without(gone):
+        verts = [v for v in g.vertices() if v != gone]
+        seen = {verts[0]}
+        stack = [verts[0]]
+        while stack:
+            for u in g.neighbors(stack.pop()):
+                if u != gone and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(verts)
+
+    return (
+        g.n >= 3
+        and connected_without(None)
+        and all(connected_without(v) for v in g.vertices())
+    )
+
+
+def test_two_connectivity_matches_brute_force():
+    graphs = [random_connected_plane(n, n) for n in range(5, 31)]
+    rng = random.Random(3)
+    for base in (octahedron(), icosahedron(), random_triangulation(16, 2)):
+        graphs += [delete_vertices(base, {v})[0] for v in base.vertices()]
+        for _ in range(12):
+            s = rng.sample(range(base.n), rng.randrange(2, base.n // 2))
+            graphs.append(delete_vertices(base, s)[0])
+    graphs += [
+        k4(),
+        hex_disk(),
+        PlaneGraph(FOUR_CYCLE_ROT),
+        PlaneGraph([[1], [0, 2], [1]]),  # path
+        PlaneGraph([[1, 2, 3], [0], [0], [0]]),  # star
+        PlaneGraph([[1], [0], [3], [2]]),  # two disjoint edges
+    ]
+    flags = [classify(g).is_two_connected for g in graphs]
+    assert flags == [_brute_two_connected(g) for g in graphs]
+    assert 0 < sum(flags) < len(flags)
 
 
 def test_disconnected_is_invalid():
@@ -160,6 +211,46 @@ def test_delete_preserves_outer_when_untouched():
     inner = next(v for v in g.vertices() if v not in outer_before)
     h, relabel = delete_vertices(g, {inner})
     assert {relabel[v] for v in outer_before} == set(h.outer_face.boundary)
+
+
+def test_delete_vertices_outputs_are_pinned():
+    # to_pgr plus the relabel map over a fixed (graph, S) grid, keeping the
+    # connected residues; the digest was taken when the outer face was
+    # tracked one deletion at a time.
+    graphs = [
+        k4(),
+        octahedron(),
+        icosahedron(),
+        diamond_chain(2),
+        k4_chain(3)[0],
+        planar_three_tree(15, 1)[0],
+        recursive_eulerian(3, 2)[0],
+        random_triangulation(14, 3),
+        near_triangulation_from(random_triangulation(13, 5), 4)[0],
+        random_connected_plane(12, 2),
+        PlaneGraph(HEX_DISK_ROT),
+    ]
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    kept = 0
+    for g in graphs:
+        sets = [{v} for v in g.vertices()]
+        sets += [set(rng.sample(range(g.n), k)) for k in (2, 3) for _ in range(5)]
+        # two outer vertices take every dart of an outer triangle, so the
+        # outer region has to be followed through them
+        a, b = g.outer_face.boundary[:2]
+        sets += [{a, b, v} for v in g.vertices() if v not in (a, b)]
+        for s in sets:
+            h, relabel = delete_vertices(g, s)
+            if not h.is_connected:
+                continue
+            kept += 1
+            digest.update(to_pgr(h).encode())
+            digest.update(json.dumps(sorted(relabel.items())).encode())
+    assert kept == 307
+    assert digest.hexdigest() == (
+        "70d1ba72970f982a708e6153c6123117e959478cc8bf7927e010c496c786c29a"
+    )
 
 
 def test_delete_everything_rejected():
@@ -316,12 +407,12 @@ def test_pgr_rejects_malformed_documents():
 
 
 def test_graph_equality_and_hash():
-    a = build_from_rotation(4, K4_ROT, outer=(0, 1, 2))
-    b = build_from_rotation(4, [list(r) for r in K4_ROT], outer=(1, 2, 0))
+    a = PlaneGraph(K4_ROT, outer_dart=(0, 1))
+    b = PlaneGraph([list(r) for r in K4_ROT], outer_dart=(1, 2))
     assert a == b
     assert hash(a) == hash(b)
     other_face = next(f for f in a.faces if f.id != a.outer_face_id)
-    c = PlaneGraph(K4_ROT, outer=other_face.boundary)
+    c = PlaneGraph(K4_ROT, outer_dart=other_face.boundary[:2])
     assert a != c
 
 
