@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every requested check holds, 1 when a bound or
 invariant fails (or an oracle/coloring reports a breach), 2 for usage
-errors.  DOMTRI_SEED overrides the default seed of `gen` and `sweep`.
+errors and unreadable files.  DOMTRI_SEED overrides the default seed of
+`gen` and `sweep`.
 """
 
 from __future__ import annotations
@@ -180,10 +181,10 @@ def _cmd_dominate(args) -> int:
                 c = four_coloring(g)
             res = class_combinator(g, c)
         elif args.method == "iota":
-            lim = IOTA_LIMIT if limit_n is None else OracleLimit(limit_n, 40_000_000)
+            lim = IOTA_LIMIT if limit_n is None else OracleLimit(limit_n)
             res = exact_iota(g, lim)
         else:
-            lim = GAMMA_LIMIT if limit_n is None else OracleLimit(limit_n, 40_000_000)
+            lim = GAMMA_LIMIT if limit_n is None else OracleLimit(limit_n)
             res = exact_gamma(g, lim)
     except OracleLimitExceeded as exc:
         print(f"oracle limit: {exc}", file=sys.stderr)
@@ -336,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
         print(exc, file=sys.stderr)
         return 2
     except InvariantBreach as exc:

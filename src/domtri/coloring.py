@@ -126,17 +126,11 @@ def _has_cycle(g: PlaneGraph, keep: set[int]) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class MissingColors:
-    vertex: int
-    absent: frozenset[int]
-
-
-def missing_colors(g: PlaneGraph, c: Coloring, v: int) -> MissingColors:
+def missing_colors(g: PlaneGraph, c: Coloring, v: int) -> frozenset[int]:
     """Classes absent from the closed neighborhood of v."""
     _require_proper(g, c)
     seen = {c[v]} | {c[u] for u in g.neighbors(v)}
-    return MissingColors(v, frozenset(range(c.k)) - seen)
+    return frozenset(range(c.k)) - seen
 
 
 def permute_classes(c: Coloring, perm: dict[int, int] | list[int]) -> Coloring:

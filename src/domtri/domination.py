@@ -11,7 +11,6 @@ branch-and-bound solvers that refuse oversized inputs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from .plane_graph import (
     check_faces_inequality,
     classify,
     closed_neighborhood,
-    deletion_placement,
+    deleted_vertex_region_dart,
     delete_vertices,
     face_degree_histogram,
     to_pgr,
@@ -37,12 +36,11 @@ class OracleLimitExceeded(RuntimeError):
 @dataclass(frozen=True)
 class OracleLimit:
     max_vertices: int
-    max_nodes: int
-    max_seconds: float | None = None
+    max_nodes: int = 40_000_000
 
 
-IOTA_LIMIT = OracleLimit(max_vertices=35, max_nodes=40_000_000)
-GAMMA_LIMIT = OracleLimit(max_vertices=24, max_nodes=40_000_000)
+IOTA_LIMIT = OracleLimit(max_vertices=35)
+GAMMA_LIMIT = OracleLimit(max_vertices=24)
 
 
 @dataclass(frozen=True)
@@ -72,14 +70,12 @@ def undominated_by(g: PlaneGraph, c: Coloring, i: int) -> frozenset[int]:
     return frozenset(g.vertices()) - closed_neighborhood(g, c.class_members(i))
 
 
-def greedy_maximal_independent(adj, order=None) -> frozenset[int]:
+def greedy_maximal_independent(adj) -> frozenset[int]:
     """Maximal independent set of an abstract graph given as a vertex ->
-    neighbors mapping, scanning `order` (default: ascending id)."""
-    if order is None:
-        order = sorted(adj)
+    neighbors mapping, scanning vertices in ascending id."""
     chosen: set[int] = set()
     blocked: set[int] = set()
-    for v in order:
+    for v in sorted(adj):
         if v in blocked or v in chosen:
             continue
         chosen.add(v)
@@ -208,21 +204,12 @@ class _Budget:
         self.limit = limit
         self.what = what
         self.nodes = 0
-        self.t0 = time.monotonic()
 
     def tick(self):
         self.nodes += 1
         if self.nodes > self.limit.max_nodes:
             raise OracleLimitExceeded(
                 f"{self.what} oracle exceeded {self.limit.max_nodes} nodes"
-            )
-        if (
-            self.limit.max_seconds is not None
-            and self.nodes % 1024 == 0
-            and time.monotonic() - self.t0 > self.limit.max_seconds
-        ):
-            raise OracleLimitExceeded(
-                f"{self.what} oracle exceeded {self.limit.max_seconds}s"
             )
 
 
@@ -370,29 +357,15 @@ class BoundRecord:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class CombinatorAccounting:
-    n: int
-    s_count: int
-    x_count: int
-    y_count: int
-    f4_h: int
-    outer_count: int
-    checks: tuple[BoundRecord, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(ch.holds for ch in self.checks)
-
-
 def verify_combinator_accounting(
     g: PlaneGraph, c: Coloring, result: DominationResult
-) -> CombinatorAccounting:
+) -> tuple[BoundRecord, ...]:
     """Re-derive every intermediate inequality behind the 5n/12, 3n/8 and
     n/3 bounds on this instance and fail hard on any violation.
 
-    Recomputes H = G - S, the interior/boundary split X, Y of S, f_4(H)
-    and the outer cycle length, then checks the full chain, with the
+    Recomputes H = G - S, the interior/boundary split X, Y of S, the face
+    of H that each deleted vertex falls into (its hole), f_4(H) and the
+    outer cycle length, then checks the full chain, with the
     planar-triangulation and minimum-degree-5 refinements when they
     apply.
     """
@@ -416,12 +389,12 @@ def verify_combinator_accounting(
         raise InvariantBreach(
             f"H = G - S is disconnected\n{to_pgr(g)}\nS={sorted(s)}"
         )
-    placement = deletion_placement(g, s, h, relabel)
-    if not placement.holds:
-        raise InvariantBreach(
-            f"deleted-vertex placement violated: {placement}\n"
-            f"{to_pgr(g)}\nS={sorted(s)}"
-        )
+    # S is independent, so both ends of each hole dart survive.
+    hole = {}
+    for v in s:
+        a, b = deleted_vertex_region_dart(g, v)
+        hole[v] = h.face_of_dart(relabel[a], relabel[b])
+    x_holes = [hole[v] for v in x]
 
     hist = face_degree_histogram(h)
     f4 = hist.get(4, 0)
@@ -431,11 +404,15 @@ def verify_combinator_accounting(
     faces_ineq = check_faces_inequality(h)
     o = len(outer_vertices)
 
-    odd_holes = sum(
-        1 for fid in placement.x_region_faces.values() if h.faces[fid].degree % 2
-    )
     checks = [
-        BoundRecord("x_holes_even_degree", odd_holes, 0),
+        BoundRecord("x_holes_inner", x_holes.count(h.outer_face_id), 0),
+        BoundRecord("x_holes_distinct", len(x_holes) - len(set(x_holes)), 0),
+        BoundRecord(
+            "y_holes_outer", sum(1 for v in y if hole[v] != h.outer_face_id), 0
+        ),
+        BoundRecord(
+            "x_holes_even_degree", sum(h.faces[f].degree % 2 for f in x_holes), 0
+        ),
         BoundRecord("x_in_even_inner_faces", len(x), even_inner),
         BoundRecord("interior_face_budget", 2 * len(x), h.n - 2 + f4),
         BoundRecord("faces_inequality", faces_ineq.lhs, faces_ineq.rhs),
@@ -482,19 +459,10 @@ def verify_combinator_accounting(
             checks.append(BoundRecord("min5_s", len(s), Fraction(n, 3)))
             checks.append(BoundRecord("min5_bound", result.size, Fraction(n, 3)))
 
-    report = CombinatorAccounting(
-        n=n,
-        s_count=len(s),
-        x_count=len(x),
-        y_count=len(y),
-        f4_h=f4,
-        outer_count=o,
-        checks=tuple(checks),
-    )
-    if not report.holds:
-        failing = [ch for ch in report.checks if not ch.holds]
+    failing = [ch for ch in checks if not ch.holds]
+    if failing:
         raise InvariantBreach(
             f"accounting failed: {failing}\n{to_pgr(g)}\n"
             f"coloring={c.colors}\nS={sorted(s)}"
         )
-    return report
+    return tuple(checks)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .plane_graph import (
     EmbeddingError,
     PlaneGraph,
+    _after,
     _insert_span,
     deleted_vertex_region_dart,
-    delete_vertices,
     flip_edge,
 )
 
@@ -125,8 +125,7 @@ def _faces_at(rot, vs):
     faces = set()
     for v in vs:
         for u in rot[v]:
-            r = rot[u]
-            f = (v, u, r[(r.index(v) + 1) % len(r)])
+            f = (v, u, _after(rot, v, u))
             i = f.index(min(f))
             faces.add(f[i:] + f[:i])
     return faces
@@ -431,11 +430,9 @@ def near_triangulation_from(g: PlaneGraph, v: int) -> tuple[PlaneGraph, dict[int
     if any(f.degree != 3 for f in g.faces):
         raise ValueError("near_triangulation_from expects a triangulation")
     a, b = deleted_vertex_region_dart(g, v)
-    h, relabel = delete_vertices(g, {v})
-    hole = h.face_of_dart(relabel[a], relabel[b])
-    if hole != h.outer_face_id:
-        h = PlaneGraph(h.rotations, outer_dart=(relabel[a], relabel[b]))
-    return h, relabel
+    relabel = {old: new for new, old in enumerate(u for u in g.vertices() if u != v)}
+    rot = [[relabel[w] for w in g.rotations[u] if w != v] for u in relabel]
+    return PlaneGraph(rot, outer_dart=(relabel[a], relabel[b])), relabel
 
 
 def min_degree5_sample(

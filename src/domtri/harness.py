@@ -336,7 +336,7 @@ def _combinator_checks(ctx: _Ctx, g: PlaneGraph, cls) -> DominationResult | None
             acct = verify_combinator_accounting(g, c, res)
             ctx.rec(
                 "combinator_accounting",
-                sum(0 if ch.holds else 1 for ch in acct.checks),
+                sum(0 if ch.holds else 1 for ch in acct),
                 0,
                 "<=",
                 "invariant",
@@ -376,7 +376,7 @@ def _oracle_checks(ctx: _Ctx, g: PlaneGraph, cls, res: DominationResult | None):
     iota = gamma = None
     if n <= ctx.cfg.iota_max_n:
         try:
-            iota = exact_iota(g, OracleLimit(ctx.cfg.iota_max_n, 40_000_000))
+            iota = exact_iota(g, OracleLimit(ctx.cfg.iota_max_n))
         except OracleLimitExceeded:
             iota = None
     if iota is not None:
@@ -386,7 +386,7 @@ def _oracle_checks(ctx: _Ctx, g: PlaneGraph, cls, res: DominationResult | None):
             ctx.rec("conjecture_iota_n3", iota.size, Fraction(n, 3), "<=", "conjecture")
     if n <= ctx.cfg.gamma_max_n:
         try:
-            gamma = exact_gamma(g, OracleLimit(ctx.cfg.gamma_max_n, 40_000_000))
+            gamma = exact_gamma(g, OracleLimit(ctx.cfg.gamma_max_n))
         except OracleLimitExceeded:
             gamma = None
     if gamma is not None:
@@ -430,7 +430,7 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None
         "invariant",
     )
     bad_pairs = 0
-    miss = {v: missing_colors(g, six, v).absent for v in v4}
+    miss = {v: missing_colors(g, six, v) for v in v4}
     for u in v4:
         for w in g.neighbors(u):
             if w in miss and u < w and miss[u] == miss[w]:
@@ -439,8 +439,8 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None
     shape_bad = sum(
         1
         for v in g.vertices()
-        if (g.degree(v) == 4 and len(missing_colors(g, six, v).absent) != 1)
-        or (g.degree(v) >= 6 and missing_colors(g, six, v).absent)
+        if (g.degree(v) == 4 and len(missing_colors(g, six, v)) != 1)
+        or (g.degree(v) >= 6 and missing_colors(g, six, v))
     )
     ctx.rec("six_coloring_missing_shape", shape_bad, 0, "<=", "invariant")
     try:

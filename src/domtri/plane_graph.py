@@ -164,9 +164,6 @@ class PlaneGraph:
         isolated = sum(1 for rot in self.rotations if not rot)
         # One face per single-vertex component is implicit (no darts).
         euler = self.n - self.edge_count + len(orbits) + isolated
-        if self.n == 1:
-            orbits = [[]]
-            euler = 2
         if euler != 2 * self.component_count:
             raise EmbeddingError(
                 "rotation system is not planar: V-E+F = "
@@ -176,7 +173,8 @@ class PlaneGraph:
 
         faces = []
         dart_face: dict[Dart, int] = {}
-        for i, orbit in enumerate(orbits):
+        # A map without darts still has its one (empty-walk) face.
+        for i, orbit in enumerate(orbits or [[]]):
             walk = tuple(u for u, _ in orbit)
             faces.append(Face(id=i, boundary=walk, degree=len(walk)))
             for d in orbit:
@@ -372,95 +370,22 @@ def deleted_vertex_region_dart(g: PlaneGraph, v: int) -> Dart:
     """A dart of g that bounds the region where v used to be after v
     (or any independent set containing it) is deleted.
 
-    Uses an inner triangular face at v, so both endpoints are neighbors
-    of v and survive the deletion of an independent set.  For v of
-    degree >= 2 on a near triangulation such a face always exists.
+    For the first neighbor u whose dart (v, u) is not on the outer face,
+    this is the next dart (u, w) of that face: w follows v in the
+    rotation at u.  On a near triangulation the face is a triangle, so
+    w is a neighbor of v too and both ends survive the deletion of an
+    independent set.
     """
-    for i, u in enumerate(g.rotation(v)):
-        fid = g.face_of_dart(v, u)
-        if fid == g.outer_face_id:
-            continue
-        face = g.faces[fid]
-        walk = face.boundary
-        k = len(walk)
-        for j in range(k):
-            a, b = walk[j], walk[(j + 1) % k]
-            if v not in (a, b):
-                return (a, b)
-    raise InvariantBreach(f"vertex {v} has no inner face with a dart avoiding it")
+    for u in g.rotation(v):
+        if g.face_of_dart(v, u) != g.outer_face_id:
+            return (u, _after(g.rotations, v, u))
+    raise InvariantBreach(f"vertex {v} has no inner face")
 
 
-@dataclass(frozen=True)
-class DeletionPlacement:
-    """Where each deleted vertex's region ended up in H = G - S.
-
-    `x_faces_even_degree` is informational and not part of `holds`: hole
-    boundaries are even when the deleted vertices came from color-class
-    machinery (two-colored links), but an arbitrary independent set can
-    leave odd holes, e.g. any vertex of the icosahedron.
-    """
-
-    x_vertices: tuple[int, ...]  # deleted, not on outer face of G
-    y_vertices: tuple[int, ...]  # deleted, on outer face of G
-    x_region_faces: dict[int, int]  # old id -> face id of H
-    x_faces_inner: bool
-    x_faces_distinct: bool
-    x_faces_even_degree: bool
-    y_on_outer: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.x_faces_inner and self.x_faces_distinct and self.y_on_outer
-
-
-def deletion_placement(
-    g: PlaneGraph,
-    s: Iterable[int],
-    h: PlaneGraph | None = None,
-    relabel: dict[int, int] | None = None,
-) -> DeletionPlacement:
-    """Locate every deleted vertex's containing face of H = G - S.
-
-    S must be independent (callers guarantee it); then every neighbor of
-    a deleted vertex survives and the witness dart from
-    `deleted_vertex_region_dart` identifies the absorbing face of H.
-    Checks the placement facts used by the counting arguments: interior
-    deletions land in pairwise-distinct inner faces of even degree, and
-    outer-boundary deletions land on the outer face of H.
-    """
-    s = frozenset(s)
-    if h is None or relabel is None:
-        h, relabel = delete_vertices(g, s)
-    outer_set = set(g.outer_face.boundary)
-    xs = tuple(sorted(v for v in s if v not in outer_set))
-    ys = tuple(sorted(v for v in s if v in outer_set))
-
-    x_faces: dict[int, int] = {}
-    x_inner = x_even = True
-    for v in xs:
-        a, b = deleted_vertex_region_dart(g, v)
-        fid = h.face_of_dart(relabel[a], relabel[b])
-        x_faces[v] = fid
-        if fid == h.outer_face_id:
-            x_inner = False
-        if h.faces[fid].degree % 2 != 0:
-            x_even = False
-    x_distinct = len(set(x_faces.values())) == len(x_faces)
-
-    y_ok = True
-    for v in ys:
-        a, b = deleted_vertex_region_dart(g, v)
-        if h.face_of_dart(relabel[a], relabel[b]) != h.outer_face_id:
-            y_ok = False
-    return DeletionPlacement(
-        x_vertices=xs,
-        y_vertices=ys,
-        x_region_faces=x_faces,
-        x_faces_inner=x_inner,
-        x_faces_distinct=x_distinct,
-        x_faces_even_degree=x_even,
-        y_on_outer=y_ok,
-    )
+def _after(rot: Sequence[Sequence[int]], v: int, u: int) -> int:
+    """The neighbor that follows v in the rotation at u."""
+    r = rot[u]
+    return r[(r.index(v) + 1) % len(r)]
 
 
 # -- neighborhood structure --------------------------------------------------

@@ -155,7 +155,7 @@ def test_criterion_02_combinator_bounds(corpus):
 def test_criterion_03_deletion_accounting(corpus):
     for gid, g, c, r in corpus["instances"]:
         acct = verify_combinator_accounting(g, c, r)
-        rows = {ch.name: ch.holds for ch in acct.checks}
+        rows = {ch.name: ch.holds for ch in acct}
         assert rows["interior_face_budget"], gid
         assert rows["y_at_most_half_outer"], gid
         if classify(g).category is Category.PLANAR_TRIANGULATION:
@@ -194,7 +194,7 @@ def test_criterion_05_even_degree_family():
             six = rec_eulerian_six_coloring(g, trace)
             assert is_proper(g, six), gid
             assert is_r_dynamic(g, six, 5), gid
-            miss = {v: missing_colors(g, six, v).absent for v in v4}
+            miss = {v: missing_colors(g, six, v) for v in v4}
             for u in v4:
                 for w in g.neighbors(u):
                     if w in miss and u < w:

@@ -87,6 +87,21 @@ def test_verify_rejects_garbage(tmp_path, capsys):
     assert out.startswith("invalid:")
 
 
+def test_verify_edgeless_graph(tmp_path, capsys):
+    p = tmp_path / "two.pgr"
+    p.write_text("pgr 1 2\n0:\n1:\n")
+    code, out, _ = run(capsys, "verify", str(p))
+    assert code == 1
+    assert out.startswith("category: invalid\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "color", "dominate", "audit"])
+def test_unreadable_input_file_is_usage_error(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, str(tmp_path / "nope"))
+    assert (code, out) == (2, "")
+    assert "No such file or directory" in err and "nope" in err
+
+
 def test_color_with_checks(tmp_path, capsys):
     p = tmp_path / "g.pgr"
     main(["gen", "three_tree", "--n", "15", "--seed", "2", "-o", str(p)])

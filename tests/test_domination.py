@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domtri import domination
 from domtri import (
     Coloring,
     DominationResult,
+    InvariantBreach,
     OracleLimit,
     OracleLimitExceeded,
     PlaneGraph,
@@ -84,7 +86,6 @@ def test_undominated_by():
 def test_greedy_independent_order():
     path = {0: {1}, 1: {0, 2}, 2: {1}}
     assert greedy_maximal_independent(path) == frozenset({0, 2})
-    assert greedy_maximal_independent(path, order=(1, 0, 2)) == frozenset({1})
 
 
 def test_exact_iota_fixed_values():
@@ -166,9 +167,12 @@ def test_accounting_icosahedron():
     g = icosahedron()
     c = four_coloring(g)
     acc = verify_combinator_accounting(g, c, class_combinator(g, c))
-    assert acc.holds
-    names = {ch.name for ch in acc.checks}
+    assert all(ch.holds for ch in acc)
+    rows = {ch.name: ch for ch in acc}
     assert {
+        "x_holes_inner",
+        "x_holes_distinct",
+        "y_holes_outer",
         "x_holes_even_degree",
         "interior_face_budget",
         "weighted_deletion_budget",
@@ -181,16 +185,17 @@ def test_accounting_icosahedron():
         "planar_bound",
         "min5_f4_zero",
         "min5_bound",
-    } <= names
-    assert acc.s_count == 0 and acc.f4_h == 0
+    } <= rows.keys()
+    # S is empty and H = G has no quadrilateral faces
+    assert rows["three_s"].lhs == 0 and rows["min5_f4_zero"].lhs == 0
 
 
 def test_accounting_fallback_rows():
     g = octahedron()
     c = four_coloring(g)
     acc = verify_combinator_accounting(g, c, class_combinator(g, c))
-    assert acc.holds
-    names = {ch.name for ch in acc.checks}
+    assert all(ch.holds for ch in acc)
+    names = {ch.name for ch in acc}
     assert {"fallback_classes_dominating", "fallback_size"} <= names
     # the averaging rows only make sense when all four classes are in play
     assert "combined_size" not in names and "planar_size" not in names
@@ -200,9 +205,40 @@ def test_accounting_near_triangulation():
     g, _ = near_triangulation_from(random_triangulation(18, 21), 5)
     c = four_coloring(g)
     acc = verify_combinator_accounting(g, c, class_combinator(g, c))
-    assert acc.holds
-    names = {ch.name for ch in acc.checks}
+    assert all(ch.holds for ch in acc)
+    names = {ch.name for ch in acc}
     assert "near_bound" in names and "planar_bound" not in names
+
+
+@pytest.mark.parametrize(
+    "n,seed,row",
+    [(20, 3, "x_holes_inner"), (20, 2, "x_holes_distinct"), (24, 1, "y_holes_outer")],
+)
+def test_accounting_catches_misplaced_holes(monkeypatch, n, seed, row):
+    # Wrong hole darts must fail the placement row by name: an X hole read
+    # on the outer face, two X vertices sharing one hole, a Y hole read on
+    # an inner face.
+    g = random_triangulation(n, seed)
+    c = four_coloring(g)
+    r = class_combinator(g, c)
+    s = r.union_s
+    walk = g.outer_face.boundary
+    x = sorted(s - set(walk))
+    assert x and (row != "x_holes_distinct" or len(x) > 1)
+    assert row != "y_holes_outer" or s & set(walk)
+    outer_dart = next(
+        (a, b) for a, b in zip(walk, walk[1:] + walk[:1]) if a not in s and b not in s
+    )
+    real = domination.deleted_vertex_region_dart
+    inner_dart = real(g, x[0])
+    wrong = {
+        "x_holes_inner": lambda v: outer_dart if v in x else real(g, v),
+        "x_holes_distinct": lambda v: inner_dart,
+        "y_holes_outer": lambda v: inner_dart,
+    }[row]
+    monkeypatch.setattr(domination, "deleted_vertex_region_dart", lambda g, v: wrong(v))
+    with pytest.raises(InvariantBreach, match=row):
+        verify_combinator_accounting(g, c, r)
 
 
 def test_accounting_needs_union_s():
@@ -247,4 +283,4 @@ def test_combinator_vs_oracle_on_random(n, seed):
     assert 8 * r.size < 3 * n
     assert exact_iota(g).size <= r.size
     acc = verify_combinator_accounting(g, c, r)
-    assert acc.holds
+    assert all(ch.holds for ch in acc)

@@ -26,7 +26,7 @@ from domtri.generators import (
     replay,
     split_seed,
 )
-from domtri.plane_graph import Category, classify, to_pgr
+from domtri.plane_graph import Category, PlaneGraph, classify, to_pgr
 
 # all-odd triangulations located by rejection sampling over
 # random_triangulation(n, seed); regenerating from (n, seed) is instant
@@ -198,6 +198,31 @@ def test_near_triangulation_from_random_bases():
             Category.NEAR_TRIANGULATION,
             Category.PLANAR_TRIANGULATION,
         )
+
+
+def test_near_triangulation_from_is_pinned_and_built_once(monkeypatch):
+    # Digest of to_pgr plus the relabel map for every v of three
+    # triangulations, taken when the residue was rebuilt to re-root it.
+    builds = []
+    init = PlaneGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    bases = (icosahedron(), random_triangulation(20, 3), planar_three_tree(16, 4)[0])
+    monkeypatch.setattr(PlaneGraph, "__init__", counting_init)
+    digest = hashlib.sha256()
+    for g in bases:
+        for v in g.vertices():
+            builds.clear()
+            h, relabel = near_triangulation_from(g, v)
+            assert len(builds) == 1, v
+            digest.update(to_pgr(h).encode())
+            digest.update(json.dumps(sorted(relabel.items())).encode())
+    assert digest.hexdigest() == (
+        "fa9535bef0d2766459a942fce78f64ecf319dc775c11ad596a69c1e17eb479dc"
+    )
 
 
 def test_min_degree5_sample():

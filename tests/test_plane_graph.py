@@ -29,7 +29,7 @@ from domtri.plane_graph import (
     classify,
     closed_neighborhood,
     delete_vertices,
-    deletion_placement,
+    deleted_vertex_region_dart,
     face_degree_histogram,
     flip_edge,
     neighborhood_structure,
@@ -259,26 +259,38 @@ def test_delete_everything_rejected():
 
 
 def test_deletion_placement_interior():
+    # An interior vertex's hole dart names an inner face of H = G - v,
+    # here the icosahedron's pentagonal hole.
     g = icosahedron()
     outer = set(g.outer_face.boundary)
     v = next(u for u in g.vertices() if u not in outer)
-    placement = deletion_placement(g, {v})
-    assert placement.holds
-    assert placement.x_vertices == (v,)
-    assert placement.y_vertices == ()
-    fid = placement.x_region_faces[v]
-    h, _ = delete_vertices(g, {v})
-    assert h.faces[fid].degree == 5  # pentagonal hole
-    assert not placement.x_faces_even_degree  # informational, not in holds
+    a, b = deleted_vertex_region_dart(g, v)
+    assert v not in (a, b)
+    h, relabel = delete_vertices(g, {v})
+    fid = h.face_of_dart(relabel[a], relabel[b])
+    assert fid != h.outer_face_id
+    assert h.faces[fid].degree == 5
+    assert set(h.faces[fid].boundary) == {relabel[u] for u in g.neighbors(v)}
 
 
 def test_deletion_placement_boundary():
+    # An outer vertex's hole dart names the outer face of H.
     g = k4()
     v = g.outer_face.boundary[0]
-    placement = deletion_placement(g, {v})
-    assert placement.y_vertices == (v,)
-    assert placement.y_on_outer
-    assert placement.holds
+    a, b = deleted_vertex_region_dart(g, v)
+    h, relabel = delete_vertices(g, {v})
+    assert h.face_of_dart(relabel[a], relabel[b]) == h.outer_face_id
+
+
+def test_edgeless_maps_have_one_empty_face():
+    for n in (1, 2):
+        g = PlaneGraph([[]] * n)
+        assert g.component_count == n
+        assert [f.boundary for f in g.faces] == [()]
+    assert classify(PlaneGraph([[], []])).category is Category.INVALID
+    h, _ = delete_vertices(PlaneGraph([[1, 2, 3], [0], [0], [0]]), {0})
+    assert (h.n, h.edge_count, h.component_count) == (3, 0, 3)
+    assert not h.is_connected
 
 
 def test_neighborhood_structure_dichotomy():
