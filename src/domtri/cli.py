@@ -2,13 +2,15 @@
 
 Exit codes: 0 when every requested check holds, 1 when a bound or
 invariant fails (or an oracle/coloring reports a breach), 2 for usage
-errors and unreadable files.  DOMTRI_SEED overrides the default seed of
-`gen` and `sweep`.
+errors and for coloring, trace or report files that cannot be read, do
+not parse or do not fit their graph.  DOMTRI_SEED overrides the default
+seed of `gen` and `sweep`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -65,6 +67,17 @@ def _env_seed(default: int) -> int:
         return int(raw)
     except ValueError:
         raise UsageError(f"DOMTRI_SEED must be an integer, got {raw!r}") from None
+
+
+@contextlib.contextmanager
+def _input_file(path: str):
+    """A file that does not parse, or does not fit the graph it comes
+    with, is a usage error."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise UsageError(f"{path}: {what}") from None
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -134,8 +147,9 @@ def _cmd_color(args) -> int:
     else:
         if not args.trace:
             raise UsageError("--k 6 needs --trace (the construction history)")
-        trace = BuildTrace.from_json(Path(args.trace).read_text())
-        c = rec_eulerian_six_coloring(g, trace)
+        with _input_file(args.trace):
+            trace = BuildTrace.from_json(Path(args.trace).read_text())
+            c = rec_eulerian_six_coloring(g, trace)
 
     failed = []
     for kind, r in checks:
@@ -176,10 +190,11 @@ def _cmd_dominate(args) -> int:
     try:
         if args.method == "combinator":
             if args.coloring:
-                c = Coloring.from_text(Path(args.coloring).read_text())
+                with _input_file(args.coloring):
+                    c = Coloring.from_text(Path(args.coloring).read_text())
+                    res = class_combinator(g, c)
             else:
-                c = four_coloring(g)
-            res = class_combinator(g, c)
+                res = class_combinator(g, four_coloring(g))
         elif args.method == "iota":
             lim = IOTA_LIMIT if limit_n is None else OracleLimit(limit_n)
             res = exact_iota(g, lim)
@@ -271,7 +286,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_audit(args) -> int:
     reports = []
     for path in args.reports:
-        reports.extend(load_reports(path))
+        with _input_file(path):
+            reports.extend(load_reports(path))
     audit = audit_conjectures(reports)
     sys.stdout.write(audit.render())
     return 0 if audit.clean else 1

@@ -133,14 +133,6 @@ def missing_colors(g: PlaneGraph, c: Coloring, v: int) -> frozenset[int]:
     return frozenset(range(c.k)) - seen
 
 
-def permute_classes(c: Coloring, perm: dict[int, int] | list[int]) -> Coloring:
-    """Relabel classes by a bijection on 0..k-1."""
-    table = [perm[i] for i in range(c.k)]
-    if sorted(table) != list(range(c.k)):
-        raise ValueError(f"not a bijection on 0..{c.k - 1}: {table}")
-    return Coloring(c.k, tuple(table[x] for x in c.colors))
-
-
 def four_coloring(g: PlaneGraph) -> Coloring:
     """Deterministic proper coloring with 4 classes, by backtracking on
     the most saturated vertex (ties: higher degree, then lower id) with

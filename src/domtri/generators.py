@@ -16,9 +16,11 @@ from .plane_graph import (
     EmbeddingError,
     PlaneGraph,
     _after,
+    _canonical,
+    _count_components,
+    _flip,
     _insert_span,
     deleted_vertex_region_dart,
-    flip_edge,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -306,17 +308,13 @@ def diamond_chain(k: int) -> PlaneGraph:
         rot[vid(i, "a")] = [vid(i - 1, nb) for nb in _APEX_ARC_AS_D] + [
             vid(i, nb) for nb in _APEX_ARC_AS_A
         ]
-    g = PlaneGraph(rot)
-
-    big = [f for f in g.faces if f.degree == 2 * k and f.degree > 3]
-    if len(big) != 2:
-        raise EmbeddingError(f"diamond chain ring left {len(big)} big faces")
-    b_face = next(f for f in big if vid(0, "b") in f.boundary)
-    c_face = next(f for f in big if vid(0, "c") in f.boundary)
-    outer_dart = (b_face.boundary[0], b_face.boundary[1])
-    _fan_face(rot, b_face.boundary, vid(0, "a"))
-    _fan_face(rot, c_face.boundary, vid(0, "c"))
-    return PlaneGraph(rot, outer_dart=outer_dart)
+    # The ring leaves two 2k-gons: c's alternating with apexes, and, walked
+    # backwards, apexes alternating with b's, which is the outer face.
+    c_walk = [x for i in range(k) for x in (vid(i, "c"), vid(i, "d"))]
+    b_walk = [x for i in range(k, 0, -1) for x in (vid(i, "a"), vid(i - 1, "b"))]
+    _fan_face(rot, b_walk)
+    _fan_face(rot, c_walk)
+    return PlaneGraph(rot, outer_dart=(b_walk[0], b_walk[1]))
 
 
 def diamond_chain_witness(k: int) -> frozenset[int]:
@@ -324,20 +322,15 @@ def diamond_chain_witness(k: int) -> frozenset[int]:
     return frozenset(x for i in range(k) for x in (7 * i + 5, 7 * i + 6))
 
 
-def _fan_face(rot, walk, apex):
-    """Triangulate a face by chords from `apex` (a walk member) to every
-    non-consecutive walk vertex."""
-    m = len(walk)
-    p = walk.index(apex)
-    prev_v = walk[(p - 1) % m]
-    succ_v = walk[(p + 1) % m]
-    targets = [walk[(p + j) % m] for j in range(2, m - 1)]
-    # At the apex the chords fill the wedge from prev to succ in reverse
-    # walk order; each target splices the apex between its walk neighbors.
-    _insert_span(rot, apex, prev_v, list(reversed(targets)))
-    for j in range(2, m - 1):
-        w = walk[(p + j) % m]
-        _insert_span(rot, w, walk[(p + j - 1) % m], [apex])
+def _fan_face(rot, walk):
+    """Triangulate a face by chords from walk[0] to every walk vertex
+    not next to it."""
+    apex, targets = walk[0], walk[2:-1]
+    # At the apex the chords fill the wedge after walk[-1] in reverse walk
+    # order; each target splices the apex in after its walk predecessor.
+    _insert_span(rot, apex, walk[-1], targets[::-1])
+    for prev, w in zip(walk[1:], targets):
+        _insert_span(rot, w, prev, [apex])
 
 
 # -- k4 chain -----------------------------------------------------------------
@@ -379,14 +372,23 @@ def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGr
     if flips is None:
         flips = 3 * n
     rng = random.Random(split_seed(seed, 1))
+    # Outputs per (n, seed) are fixed (seeds in full.cfg were sampled from
+    # them), so each flip edits canonical lists and the next edge is drawn
+    # in the order PlaneGraph(edited lists).edges() gives: frozenset order.
+    rot = _canonical(g.rotations)
+    edges = g.edges()
+    step = None
     for _ in range(flips):
-        edges = g.edges()
         u, v = edges[rng.randrange(len(edges))]
+        if v < 3:  # an edge of the outer triangle (0, 1, 2)
+            continue
         try:
-            g = flip_edge(g, u, v)
+            _flip(rot, u, v)
         except EmbeddingError:
             continue
-    return g
+        step, rot = rot, _canonical(rot)
+        edges = [(a, b) for a, r in enumerate(step) for b in frozenset(r) if a < b]
+    return g if step is None else PlaneGraph(step, outer_dart=(0, 1))
 
 
 def random_connected_plane(n: int, seed: int) -> PlaneGraph:
@@ -404,24 +406,12 @@ def random_connected_plane(n: int, seed: int) -> PlaneGraph:
             break
         adj[u].remove(v)
         adj[v].remove(u)
-        if _connected(adj):
+        if _count_components(adj) == 1:
             dropped += 1
         else:
             adj[u].add(v)
             adj[v].add(u)
     return PlaneGraph([[u for u in g.rotation(v) if u in adj[v]] for v in g.vertices()])
-
-
-def _connected(adj) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(adj)
 
 
 def near_triangulation_from(g: PlaneGraph, v: int) -> tuple[PlaneGraph, dict[int, int]]:

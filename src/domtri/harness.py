@@ -26,6 +26,8 @@ from .coloring import (
     stacked_four_coloring,
 )
 from .domination import (
+    GAMMA_LIMIT,
+    IOTA_LIMIT,
     BoundRecord,
     DominationResult,
     OracleLimit,
@@ -148,8 +150,8 @@ class SweepConfig:
     seed: int = 1
     families: tuple[str, ...] = ()
     values: tuple[tuple[str, str], ...] = ()
-    iota_max_n: int = 35
-    gamma_max_n: int = 24
+    iota_max_n: int = IOTA_LIMIT.max_vertices
+    gamma_max_n: int = GAMMA_LIMIT.max_vertices
     checks: tuple[str, ...] = _DEFAULT_CHECKS
     timings: bool = False
     out: str | None = None
@@ -234,8 +236,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
     unknown = [f for f in fams if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families: {unknown}")
-    iota_max = int(take("iota_max_n", "35"))
-    gamma_max = int(take("gamma_max_n", "24"))
+    iota_max = int(take("iota_max_n", str(IOTA_LIMIT.max_vertices)))
+    gamma_max = int(take("gamma_max_n", str(GAMMA_LIMIT.max_vertices)))
     checks_raw = take("checks", "all") or "all"
     if checks_raw.strip() == "all":
         checks = _DEFAULT_CHECKS

@@ -106,6 +106,33 @@ def _face_orbits(rotations: Sequence[Sequence[int]]) -> list[list[Dart]]:
     return orbits
 
 
+def _canonical(rotations: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Copies of the rotations, each starting at its smallest neighbor."""
+    canon = []
+    for rot in map(list, rotations):
+        i = rot.index(min(rot)) if rot else 0
+        canon.append(rot[i:] + rot[:i])
+    return canon
+
+
+def _count_components(adj: Sequence[Iterable[int]]) -> int:
+    seen = [False] * len(adj)
+    count = 0
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        count += 1
+        stack = [s]
+        seen[s] = True
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+    return count
+
+
 class PlaneGraph:
     """Immutable plane graph: canonical rotations, faces, explicit outer face.
 
@@ -146,21 +173,13 @@ class PlaneGraph:
                 if v not in adj[u]:
                     raise EmbeddingError(f"asymmetric adjacency between {v} and {u}")
 
-        # Canonical form: every rotation starts at its smallest neighbor id.
-        canon = []
-        for rot in rotations:
-            t = tuple(rot)
-            if t:
-                i = t.index(min(t))
-                t = t[i:] + t[:i]
-            canon.append(t)
         self.n = n
-        self.rotations: tuple[tuple[int, ...], ...] = tuple(canon)
+        self.rotations = tuple(map(tuple, _canonical(rotations)))
         self._adj = tuple(adj)
-        self.edge_count = sum(len(rot) for rot in canon) // 2
+        self.edge_count = sum(len(rot) for rot in adj) // 2
 
         orbits = _face_orbits(self.rotations)
-        self.component_count = self._count_components()
+        self.component_count = _count_components(adj)
         isolated = sum(1 for rot in self.rotations if not rot)
         # One face per single-vertex component is implicit (no darts).
         euler = self.n - self.edge_count + len(orbits) + isolated
@@ -182,23 +201,6 @@ class PlaneGraph:
         self.faces: tuple[Face, ...] = tuple(faces)
         self._dart_face = dart_face
         self.outer_face_id = self._resolve_outer(outer_dart)
-
-    def _count_components(self) -> int:
-        seen = [False] * self.n
-        count = 0
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            count += 1
-            stack = [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                for u in self._adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-        return count
 
     def _resolve_outer(self, outer_dart) -> int:
         if outer_dart is not None:
@@ -455,28 +457,31 @@ def flip_edge(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
         raise ValueError(f"no edge ({u}, {v})")
     if any(f.degree != 3 for f in g.faces):
         raise EmbeddingError("flip_edge expects a triangulation (all faces triangles)")
-    f_uv = g.face_of_dart(u, v)
-    f_vu = g.face_of_dart(v, u)
-    if g.outer_face_id in (f_uv, f_vu):
+    if g.outer_face_id in (g.face_of_dart(u, v), g.face_of_dart(v, u)):
         raise EmbeddingError(f"edge ({u}, {v}) lies on the outer face")
-    x = next(w for w in g.faces[f_uv].boundary if w not in (u, v))
-    y = next(w for w in g.faces[f_vu].boundary if w not in (u, v))
-    if x == y:
-        raise EmbeddingError(f"flip of ({u}, {v}) is degenerate (same apex twice)")
-    if g.has_edge(x, y):
-        raise EmbeddingError(f"flip of ({u}, {v}) would create parallel edge ({x}, {y})")
-
     rot = [list(r) for r in g.rotations]
-    rot[u].remove(v)
-    rot[v].remove(u)
-    # In the face walk of f_uv = (u, v, x) the dart into x comes from v,
-    # so at x the edge to y is inserted right after v in rotation order;
-    # symmetrically at y it goes right after u.
-    _insert_span(rot, x, v, [y])
-    _insert_span(rot, y, u, [x])
-
+    _flip(rot, u, v)
     ob = g.outer_face.boundary
     return PlaneGraph(rot, outer_dart=(ob[0], ob[1]))
+
+
+def _flip(rot: list[list[int]], u: int, v: int) -> None:
+    """Flip edge uv of the triangles (u, v, x) and (v, u, y) to xy in the
+    rotation lists, refusing x == y and an existing edge xy before any
+    list changes."""
+    x = _after(rot, u, v)
+    y = _after(rot, v, u)
+    if x == y:
+        raise EmbeddingError(f"flip of ({u}, {v}) is degenerate (same apex twice)")
+    if y in rot[x]:
+        raise EmbeddingError(f"flip of ({u}, {v}) would create parallel edge ({x}, {y})")
+    rot[u].remove(v)
+    rot[v].remove(u)
+    # In the face walk (u, v, x) the dart into x comes from v, so at x
+    # the edge to y goes right after v in rotation order; symmetrically
+    # at y it goes right after u.
+    _insert_span(rot, x, v, [y])
+    _insert_span(rot, y, u, [x])
 
 
 def _insert_span(rot: list[list[int]], v: int, after: int, new: list[int]) -> None:
@@ -553,8 +558,3 @@ def parse_pgr(text: str) -> PlaneGraph:
 def load_pgr(path) -> PlaneGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_pgr(fh.read())
-
-
-def save_pgr(g: PlaneGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_pgr(g))

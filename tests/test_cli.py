@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from domtri import load_pgr, parse_pgr, to_pgr, random_triangulation
+from domtri import load_pgr, parse_pgr, random_triangulation, recursive_eulerian, to_pgr
 from domtri.cli import main
 
 TINY_CONFIG = """\
@@ -100,6 +100,51 @@ def test_unreadable_input_file_is_usage_error(tmp_path, capsys, command):
     code, out, err = run(capsys, command, str(tmp_path / "nope"))
     assert (code, out) == (2, "")
     assert "No such file or directory" in err and "nope" in err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("dominate", "0 0\n1 x\n", "invalid literal for int()"),
+        ("dominate", "0 0\n1 1\n2 2\n", "coloring covers 3 vertices, graph has 9"),
+        ("dominate", "".join(f"{v} 0\n" for v in range(9)), "coloring is not proper"),
+        ("color", '{"family": "x"}', "missing field 'steps'"),
+        ("color", recursive_eulerian(2, 4)[1].to_json(), "does not rebuild"),
+        (
+            "color",
+            '{"family": "recursive_eulerian", "steps": [{"kind": "triangle", '
+            '"face": [99, 0, 2], "new": [3, 4, 5]}]}',
+            "index out of range",
+        ),
+        ("audit", "not json\n", "Expecting value"),
+        ("audit", '{"graph_id": "g"}\n', "missing field 'records'"),
+    ],
+    ids=[
+        "coloring-token",
+        "coloring-length",
+        "coloring-improper",
+        "trace-no-steps",
+        "trace-other-graph",
+        "trace-unknown-vertex",
+        "report-not-json",
+        "report-no-records",
+    ],
+)
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, message):
+    g = tmp_path / "g.pgr"
+    main(["gen", "eulerian", "--t", "2", "--seed", "3", "-o", str(g)])
+    f = tmp_path / "input"
+    f.write_text(text)
+    argv = {
+        "dominate": ["dominate", str(g), "--coloring", str(f)],
+        "color": ["color", str(g), "--k", "6", "--trace", str(f)],
+        "audit": ["audit", str(f)],
+    }[command]
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err and str(f) in err
+    assert "Traceback" not in err
 
 
 def test_color_with_checks(tmp_path, capsys):

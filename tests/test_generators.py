@@ -169,6 +169,42 @@ def test_random_triangulation_determinism():
     )
 
 
+def test_flip_walk_is_pinned():
+    # Digest of to_pgr plus edges() order, taken when the walk rebuilt the
+    # whole map after every accepted flip: the walk draws its next edge
+    # from that order, so both must survive the rotation-list walk.
+    digest = hashlib.sha256()
+    graphs = [random_triangulation(n, s) for n in (60, 200) for s in (1, 2, 3)]
+    graphs += [random_triangulation(60, 1, flips=0), random_triangulation(4, 1)]
+    for g in graphs:
+        digest.update((to_pgr(g) + repr(g.edges())).encode())
+    assert digest.hexdigest() == (
+        "f0a53959fd3c9b3e3ae6a065fdd1f78260dfe4e8c173c952f898e79f7f64bb02"
+    )
+
+
+def test_generated_maps_are_built_once(monkeypatch):
+    # The walk builds the stacked start and the result; the connected
+    # family adds its thinned map.  Rebuilding after every flip made 407,
+    # 2 and 57 builds.
+    builds = []
+    init = PlaneGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlaneGraph, "__init__", counting_init)
+    for build, args, most in (
+        (random_triangulation, (200, 1), 2),
+        (diamond_chain, (3,), 1),
+        (random_connected_plane, (30, 2), 3),
+    ):
+        builds.clear()
+        build(*args)
+        assert len(builds) <= most, (build.__name__, len(builds))
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=5, max_value=20), seed=st.integers(0, 2**31))
 def test_random_connected_plane_stays_connected(n, seed):
