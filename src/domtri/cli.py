@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .coloring import (
     Coloring,
+    ColoringLimitExceeded,
     four_coloring,
     is_acyclic,
     is_proper,
@@ -187,26 +188,19 @@ def _result_doc(res, n: int) -> dict:
 def _cmd_dominate(args) -> int:
     g = load_pgr(args.graph)
     limit_n = args.limit_n
-    try:
-        if args.method == "combinator":
-            if args.coloring:
-                with _input_file(args.coloring):
-                    c = Coloring.from_text(Path(args.coloring).read_text())
-                    res = class_combinator(g, c)
-            else:
-                res = class_combinator(g, four_coloring(g))
-        elif args.method == "iota":
-            lim = IOTA_LIMIT if limit_n is None else OracleLimit(limit_n)
-            res = exact_iota(g, lim)
+    if args.method == "combinator":
+        if args.coloring:
+            with _input_file(args.coloring):
+                c = Coloring.from_text(Path(args.coloring).read_text())
+                res = class_combinator(g, c)
         else:
-            lim = GAMMA_LIMIT if limit_n is None else OracleLimit(limit_n)
-            res = exact_gamma(g, lim)
-    except OracleLimitExceeded as exc:
-        print(f"oracle limit: {exc}", file=sys.stderr)
-        return 1
-    except InvariantBreach as exc:
-        print(f"invariant breach: {exc}", file=sys.stderr)
-        return 1
+            res = class_combinator(g, four_coloring(g))
+    elif args.method == "iota":
+        lim = IOTA_LIMIT if limit_n is None else OracleLimit(limit_n)
+        res = exact_iota(g, lim)
+    else:
+        lim = GAMMA_LIMIT if limit_n is None else OracleLimit(limit_n)
+        res = exact_gamma(g, lim)
 
     if args.json:
         print(json.dumps(_result_doc(res, g.n), sort_keys=True))
@@ -360,6 +354,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InvariantBreach as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
+        return 1
+    except (OracleLimitExceeded, ColoringLimitExceeded) as exc:
+        kind = "oracle" if isinstance(exc, OracleLimitExceeded) else "coloring"
+        print(f"{kind} limit: {exc}", file=sys.stderr)
         return 1
     except EmbeddingError as exc:
         print(f"embedding error: {exc}", file=sys.stderr)

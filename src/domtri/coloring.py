@@ -5,16 +5,18 @@ vertices 0..n-1.  Besides properness this module checks r-dynamism
 (each vertex sees min(r, degree) classes among its neighbors) and
 acyclicity (any two classes induce a forest), computes per-vertex
 missing-color sets, and builds two constructive colorings: a
-deterministic backtracking 4-coloring and the inductive 5-dynamic
-6-coloring of triangulations grown by octahedron-pattern insertions.
+deterministic 4-coloring (budgeted DSATUR, Kempe-chain fallback) and the
+inductive 5-dynamic 6-coloring of octahedron-pattern triangulations.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 from .generators import BuildTrace, replay
-from .plane_graph import InvariantBreach, PlaneGraph
+from .plane_graph import InvariantBreach, PlaneGraph, _count_components
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,7 @@ class Coloring:
 
 
 def class_sizes(c: Coloring) -> tuple[int, ...]:
-    counts = [0] * c.k
-    for x in c.colors:
-        counts[x] += 1
-    return tuple(counts)
+    return tuple(c.colors.count(i) for i in range(c.k))
 
 
 def _check_total(g: PlaneGraph, c: Coloring):
@@ -99,31 +98,18 @@ def is_r_dynamic(g: PlaneGraph, c: Coloring, r: int) -> bool:
 
 
 def is_acyclic(g: PlaneGraph, c: Coloring) -> bool:
-    """True iff the union of any two color classes induces a forest."""
+    """True iff the union of any two color classes induces a forest, that
+    is, has as many vertices as edges plus components."""
     _require_proper(g, c)
-    for i in range(c.k):
-        for j in range(i + 1, c.k):
-            if _has_cycle(g, {v for v in g.vertices() if c[v] in (i, j)}):
-                return False
+    for pair in itertools.combinations(range(c.k), 2):
+        # vertices outside the pair stay as components of their own
+        adj = [
+            [u for u in g.neighbors(v) if c[u] in pair] if c[v] in pair else []
+            for v in g.vertices()
+        ]
+        if sum(map(len, adj)) // 2 + _count_components(adj) != g.n:
+            return False
     return True
-
-
-def _has_cycle(g: PlaneGraph, keep: set[int]) -> bool:
-    parent = {v: v for v in keep}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges():
-        if u in keep and v in keep:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return True
-            parent[ru] = rv
-    return False
 
 
 def missing_colors(g: PlaneGraph, c: Coloring, v: int) -> frozenset[int]:
@@ -133,49 +119,122 @@ def missing_colors(g: PlaneGraph, c: Coloring, v: int) -> frozenset[int]:
     return frozenset(range(c.k)) - seen
 
 
+# Vertex choices the four_coloring search may make before it falls back to
+# Kempe chains.  The largest tested search makes 710.
+_SEARCH_NODES = 10_000
+
+
+class ColoringLimitExceeded(RuntimeError):
+    """Neither the budgeted search nor the Kempe fallback found a 4-coloring."""
+
+
 def four_coloring(g: PlaneGraph) -> Coloring:
-    """Deterministic proper coloring with 4 classes, by backtracking on
-    the most saturated vertex (ties: higher degree, then lower id) with
-    lowest class tried first.  Raises if the search exhausts, which
-    cannot happen for a plane graph and would signal a validator bug.
+    """Deterministic proper coloring with 4 classes.
+
+    DSATUR (Brelaz 1979) with backtracking on an explicit stack: color
+    the most saturated vertex next (ties: higher degree, then lower id),
+    lowest free class first; a lazy-deletion heap keyed (-saturation,
+    -degree, v) finds it.  Past _SEARCH_NODES vertex choices, fall back
+    to smallest-last insertion with Kempe-chain swaps (Morgenstern &
+    Shapiro 1991).  Raises ColoringLimitExceeded if that fails too.
     """
-    n = g.n
-    assign: list[int | None] = [None] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    nbrs = [g.neighbors(v) for v in g.vertices()]
+    colors = _dsatur(nbrs) or _kempe_insertion(nbrs)  # n >= 1: never empty
+    c = Coloring(4, tuple(colors))
+    if not is_proper(g, c):
+        raise ColoringLimitExceeded("the Kempe fallback left an improper coloring")
+    return c
 
-    def pick() -> int | None:
-        best = None
-        for v in range(n):
-            if assign[v] is not None:
-                continue
-            key = (len(neighbor_colors[v]), g.degree(v), -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        return None if best is None else best[1]
 
-    def solve() -> bool:
-        v = pick()
-        if v is None:
-            return True
-        for color in range(4):
-            if color in neighbor_colors[v]:
-                continue
-            assign[v] = color
-            touched = []
-            for u in g.neighbors(v):
-                if color not in neighbor_colors[u]:
-                    neighbor_colors[u].add(color)
-                    touched.append(u)
-            if solve():
-                return True
-            assign[v] = None
-            for u in touched:
-                neighbor_colors[u].discard(color)
-        return False
+def _dsatur(nbrs) -> list[int] | None:
+    """The DSATUR coloring, or None past the node budget or on exhaustion."""
+    n = len(nbrs)
+    colors, sat, seen = [-1] * n, [0] * n, [[0] * 4 for _ in nbrs]
+    heap = [(0, -len(nbrs[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    trail: list[tuple[int, int]] = []  # (vertex, class) of each assignment
 
-    if not solve():
-        raise InvariantBreach("4-coloring search exhausted on a plane graph")
-    return Coloring(4, tuple(assign))  # type: ignore[arg-type]
+    def mark(v, c, step):  # step 1 gives v class c, step -1 takes it back
+        colors[v], edge = (c, 1) if step > 0 else (-1, 0)
+        for u in nbrs[v]:
+            seen[u][c] += step
+            if seen[u][c] == edge:  # the saturation of u changed
+                sat[u] += step
+                if colors[u] < 0:
+                    heapq.heappush(heap, (-sat[u], -len(nbrs[u]), u))
+
+    for nodes in itertools.count(1):
+        while heap and (colors[heap[0][2]] >= 0 or -heap[0][0] != sat[heap[0][2]]):
+            heapq.heappop(heap)  # stale entry
+        if not heap:
+            return colors
+        if nodes > _SEARCH_NODES:
+            return None
+        v, first = heapq.heappop(heap)[2], 0
+        while (c := next((c for c in range(first, 4) if not seen[v][c]), None)) is None:
+            heapq.heappush(heap, (-sat[v], -len(nbrs[v]), v))  # back up
+            if not trail:
+                return None
+            v, c = trail.pop()
+            mark(v, c, -1)
+            first = c + 1
+        mark(v, c, 1)
+        trail.append((v, c))
+
+
+def _kempe_insertion(nbrs) -> list[int]:
+    """Color in the reverse of an order that keeps removing a vertex of
+    least remaining degree (at most 5 in a plane graph), each vertex with
+    the lowest class free after at most two Kempe-chain swaps."""
+    deg = [len(a) for a in nbrs]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    colors, order = [-1] * len(nbrs), []  # -2: removed, not yet colored
+    while heap:
+        d, v = heapq.heappop(heap)
+        if colors[v] == -1 and d == deg[v]:
+            colors[v] = -2
+            order.append(v)
+            for u in nbrs[v]:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
+    for v in reversed(order):
+        c = _kempe_free(nbrs, colors, v, 2)
+        if c is None:
+            raise ColoringLimitExceeded(f"no Kempe swap frees a class at vertex {v}")
+        colors[v] = c
+    return colors
+
+
+def _kempe_free(nbrs, colors, v, depth) -> int | None:
+    """Lowest class free at v after at most depth Kempe-chain swaps, each
+    through a neighbor of v; colors is restored when there is none."""
+    used = {colors[u] for u in nbrs[v]}
+    free = next((c for c in range(4) if c not in used), None)
+    if free is not None or depth == 0:
+        return free
+    for u in sorted(nbrs[v]):
+        a = colors[u]  # restored after every swap that does not help
+        for b in range(4):
+            if a >= 0 and b != a:
+                _kempe_swap(nbrs, colors, u, b)
+                free = _kempe_free(nbrs, colors, v, depth - 1)
+                if free is not None:
+                    return free
+                _kempe_swap(nbrs, colors, u, a)
+    return None
+
+
+def _kempe_swap(nbrs, colors, u, b):
+    """Exchange b and the class of u on their Kempe chain through u."""
+    a, chain, todo = colors[u], {u}, [u]
+    while todo:
+        for y in nbrs[todo.pop()]:
+            if y not in chain and colors[y] in (a, b):
+                chain.add(y)
+                todo.append(y)
+    for x in chain:
+        colors[x] = a + b - colors[x]
 
 
 def stacked_four_coloring(trace: BuildTrace) -> Coloring:
@@ -245,13 +304,11 @@ def rec_eulerian_six_coloring(g: PlaneGraph, trace: BuildTrace) -> Coloring:
                 )
         free_sources = [s for s in range(6) if s not in want]
         free_targets = [d for d in range(6) if d not in want.values()]
-        perm = dict(want)
-        perm.update(zip(free_sources, free_targets))
+        perm = want | dict(zip(free_sources, free_targets))
         colors = [perm[col] for col in colors]
 
         colors.extend((4, 5, 3))  # a, b, c
-        for v in (a, b, c):
-            adj.append(set())
+        adj += [set(), set(), set()]  # a, b, c
         for u, v in (
             (a, y), (a, z), (b, x), (b, z), (c, x), (c, y),
             (a, b), (a, c), (b, c),

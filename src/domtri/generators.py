@@ -94,30 +94,24 @@ _TRIANGLE_INNER = (0, 2, 1)  # its one inner face
 
 
 def _stack(rot, walk, w):
-    """Stack vertex w into the inner face with walk (x, y, z)."""
+    """Stack the next vertex w = len(rot) into the inner face with walk
+    (x, y, z)."""
     x, y, z = walk
-    while len(rot) <= w:
-        rot.append([])
     _insert_span(rot, x, z, [w])
     _insert_span(rot, y, x, [w])
     _insert_span(rot, z, y, [w])
-    rot[w] = [x, z, y]
+    rot.append([x, z, y])
 
 
 def _triangle_insert(rot, walk, a, b, c):
-    """Insert triangle (a, b, c) into inner face (x, y, z) so that the six
-    vertices induce an octahedron; a is the non-neighbor of x, b of y,
-    c of z."""
+    """Insert the next three vertices, triangle (a, b, c), into inner face
+    (x, y, z) so that the six vertices induce an octahedron; a is the
+    non-neighbor of x, b of y, c of z."""
     x, y, z = walk
-    for w in (a, b, c):
-        while len(rot) <= w:
-            rot.append([])
     _insert_span(rot, x, z, [b, c])
     _insert_span(rot, y, x, [c, a])
     _insert_span(rot, z, y, [a, b])
-    rot[a] = [c, b, z, y]
-    rot[b] = [c, x, z, a]
-    rot[c] = [x, b, a, y]
+    rot += [[c, b, z, y], [c, x, z, a], [x, b, a, y]]
 
 
 def _faces_at(rot, vs):
@@ -251,6 +245,8 @@ def replay(trace: BuildTrace) -> PlaneGraph:
     """Rebuild the plane graph a BuildTrace describes."""
     rot = [list(r) for r in _TRIANGLE_ROT]
     for s in trace.steps:
+        if list(s.new) != list(range(len(rot), len(rot) + len(s.new))):
+            raise ValueError(f"step {s} must add the next unused ids from {len(rot)}")
         if s.kind == "stack":
             _stack(rot, s.face, s.new[0])
         else:

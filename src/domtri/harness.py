@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
 from .coloring import (
     Coloring,
+    ColoringLimitExceeded,
     class_sizes,
     four_coloring,
     is_proper,
@@ -92,30 +93,20 @@ class BoundReport:
         )
 
     def to_json(self, include_timings: bool = False) -> str:
-        doc = {
-            "graph_id": self.graph_id,
-            "family": self.family,
-            "n": self.n,
-            "seed": self.seed,
-            "category": self.category,
-            "min_degree": self.min_degree,
-            "all_degrees_odd": self.all_degrees_odd,
-            "all_degrees_even": self.all_degrees_even,
-            "records": [
-                {
-                    "name": r.name,
-                    "lhs": _frac_str(r.lhs),
-                    "rhs": _frac_str(r.rhs),
-                    "op": r.op,
-                    "level": r.level,
-                    "holds": r.holds,
-                }
-                for r in self.records
-            ],
-            "errors": list(self.errors),
-        }
-        if include_timings:
-            doc["runtime_ms"] = self.runtime_ms
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["records"] = [
+            {
+                "name": r.name,
+                "lhs": _frac_str(r.lhs),
+                "rhs": _frac_str(r.rhs),
+                "op": r.op,
+                "level": r.level,
+                "holds": r.holds,
+            }
+            for r in self.records
+        ]
+        if not include_timings:
+            del doc["runtime_ms"]
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
@@ -322,10 +313,10 @@ def _combinator_checks(ctx: _Ctx, g: PlaneGraph, cls) -> DominationResult | None
     ):
         return None
     n = g.n
-    c = four_coloring(g)
     try:
+        c = four_coloring(g)
         res = class_combinator(g, c)
-    except InvariantBreach as exc:
+    except (InvariantBreach, ColoringLimitExceeded) as exc:
         ctx.errors.append(f"combinator: {exc}")
         return None
     ctx.rec("combinator_near_5n12", res.size, Fraction(5 * n, 12))

@@ -14,6 +14,7 @@ re-inferred behind the caller's back.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -290,10 +291,7 @@ def closed_neighborhood(g: PlaneGraph, s: Iterable[int]) -> frozenset[int]:
 
 
 def face_degree_histogram(g: PlaneGraph) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for f in g.faces:
-        hist[f.degree] = hist.get(f.degree, 0) + 1
-    return hist
+    return dict(Counter(f.degree for f in g.faces))
 
 
 def classify(g: PlaneGraph) -> GraphClass:
@@ -528,8 +526,7 @@ def parse_pgr(text: str) -> PlaneGraph:
         raise EmbeddingError(f"bad pgr header: {lines[0]!r}") from e
     if len(lines) - 1 != n:
         raise EmbeddingError(f"expected {n} vertex lines, found {len(lines) - 1}")
-    rotations: list[list[int]] = [[] for _ in range(n)]
-    seen = [False] * n
+    rotations: list[list[int] | None] = [None] * n
     for ln in lines[1:]:
         if ":" not in ln:
             raise EmbeddingError(f"bad vertex line: {ln!r}")
@@ -541,9 +538,8 @@ def parse_pgr(text: str) -> PlaneGraph:
             raise EmbeddingError(f"bad vertex line: {ln!r}") from e
         if not (0 <= v < n):
             raise EmbeddingError(f"vertex id {v} out of range")
-        if seen[v]:
+        if rotations[v] is not None:
             raise EmbeddingError(f"duplicate vertex line for {v}")
-        seen[v] = True
         rotations[v] = rot
     if not outer:
         return PlaneGraph(rotations)

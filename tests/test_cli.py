@@ -1,8 +1,21 @@
 import json
+import time
 
 import pytest
 
-from domtri import load_pgr, parse_pgr, random_triangulation, recursive_eulerian, to_pgr
+from domtri import (
+    Coloring,
+    coloring,
+    is_dominating,
+    is_independent,
+    is_proper,
+    k4_chain,
+    load_pgr,
+    parse_pgr,
+    random_triangulation,
+    recursive_eulerian,
+    to_pgr,
+)
 from domtri.cli import main
 
 TINY_CONFIG = """\
@@ -177,6 +190,49 @@ def test_color_six_needs_trace(tmp_path, capsys):
     assert code == 0
     assert "# check dynamic:5: ok" in err
     assert out.startswith("# coloring k=6")
+
+
+def test_color_trace_with_far_ids_fails_fast(tmp_path, capsys):
+    # new ids must be the next unused ones; these once grew a 200,003-vertex map
+    g = tmp_path / "g.pgr"
+    main(["gen", "eulerian", "--t", "1", "--seed", "0", "-o", str(g)])
+    t = tmp_path / "trace.json"
+    t.write_text(
+        '{"family": "recursive_eulerian", "steps": [{"kind": "triangle", '
+        '"face": [0, 2, 1], "new": [200000, 200001, 200002]}]}'
+    )
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "color", str(g), "--k", "6", "--trace", str(t))
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out) == (2, "")
+    assert "next unused ids from 3" in err
+
+
+def test_color_and_dominate_large_chain(tmp_path, capsys):
+    # 1000 vertices: the recursive search ended in a RecursionError here
+    p = tmp_path / "chain.pgr"
+    p.write_text(to_pgr(k4_chain(250)[0]))
+    g = load_pgr(p)
+    code, out, err = run(capsys, "color", str(p), "--check", "proper")
+    assert code == 0 and "# check proper: ok" in err
+    assert is_proper(g, Coloring.from_text(out, k=4))
+    code, out, err = run(capsys, "dominate", str(p), "--method", "combinator", "--json")
+    assert code == 0 and "Traceback" not in err
+    chosen = json.loads(out)["vertices"]
+    assert is_independent(g, chosen) and is_dominating(g, chosen)
+
+
+def test_coloring_limit_exits_1(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "g.pgr"
+    main(["gen", "octahedron", "-o", str(p)])
+    capsys.readouterr()
+    monkeypatch.setattr(coloring, "_SEARCH_NODES", 0)
+    monkeypatch.setattr(coloring, "_kempe_free", lambda *args: None)
+    for argv in (["color", str(p)], ["dominate", str(p)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "coloring limit: no Kempe swap" in err
 
 
 def test_dominate_json(tmp_path, capsys):

@@ -1,10 +1,16 @@
+import hashlib
+import sys
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domtri import (
     Coloring,
+    ColoringLimitExceeded,
     class_sizes,
+    diamond_chain,
     four_coloring,
     icosahedron,
     is_acyclic,
@@ -12,7 +18,9 @@ from domtri import (
     is_proper,
     is_r_dynamic,
     k4,
+    k4_chain,
     missing_colors,
+    near_triangulation_from,
     octahedron,
     planar_three_tree,
     random_triangulation,
@@ -20,6 +28,7 @@ from domtri import (
     recursive_eulerian,
     stacked_four_coloring,
 )
+from domtri import coloring
 
 RAINBOW_K4 = Coloring(4, (0, 1, 2, 3))
 # octahedron antipodal pairs under our labeling: 0-3, 1-4, 2-5
@@ -160,6 +169,76 @@ def test_four_coloring_deterministic():
 def test_four_coloring_proper_on_random(n, seed):
     g = random_triangulation(n, seed)
     assert is_proper(g, four_coloring(g))
+
+
+def test_four_coloring_is_pinned():
+    # Digest taken when the search was recursive and rescanned every
+    # vertex for the most saturated one; the heap must pick in that order.
+    graphs = [k4(), octahedron(), icosahedron()]
+    for n in range(4, 61):
+        for s in (1, 2, 3):
+            g = random_triangulation(n, s)
+            graphs += [g, near_triangulation_from(g, s % n)[0]]
+    graphs += [recursive_eulerian(66, s)[0] for s in (1, 2)]
+    graphs += [diamond_chain(29), k4_chain(50)[0], planar_three_tree(200, 2)[0]]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(bytes(four_coloring(g).colors))
+    assert digest.hexdigest() == (
+        "1784527dddd7f6974ad52d69ca10b44fbefa42d321cf91c7c1ddc2c3568348d4"
+    )
+
+
+def test_four_coloring_scales():
+    # The recursive search took 3 s on random_triangulation(200, 3) and hit
+    # the recursion limit on the n ~ 1000 chains.
+    graphs = [random_triangulation(200, s) for s in range(1, 13)]
+    graphs += [k4_chain(250)[0], diamond_chain(143)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        for g in graphs:
+            t0 = time.perf_counter()
+            c = four_coloring(g)
+            elapsed = time.perf_counter() - t0
+            assert is_proper(g, c)
+            assert elapsed < 1.0, (g.n, elapsed)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 40), seed=st.integers(0, 10_000))
+def test_kempe_fallback_is_proper(n, seed):
+    g = random_triangulation(n, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "_SEARCH_NODES", 0)  # every graph falls back
+        for h in (g, near_triangulation_from(g, seed % n)[0]):
+            assert is_proper(h, four_coloring(h))
+
+
+def test_kempe_fallback_swaps_chains(monkeypatch):
+    swaps = []
+    swap = coloring._kempe_swap
+
+    def counting_swap(*args):
+        swaps.append(args[2:])
+        swap(*args)
+
+    monkeypatch.setattr(coloring, "_SEARCH_NODES", 0)
+    monkeypatch.setattr(coloring, "_kempe_swap", counting_swap)
+    # smallest-last insertion into this graph finds all four classes
+    # around some vertex, so only a Kempe swap can free one
+    g = random_triangulation(9, 4)
+    assert is_proper(g, four_coloring(g))
+    assert swaps
+
+
+def test_four_coloring_limit_is_named(monkeypatch):
+    monkeypatch.setattr(coloring, "_SEARCH_NODES", 0)
+    monkeypatch.setattr(coloring, "_kempe_free", lambda *args: None)
+    with pytest.raises(ColoringLimitExceeded, match="no Kempe swap"):
+        four_coloring(octahedron())
 
 
 def test_stacked_coloring_dominates():
