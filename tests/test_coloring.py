@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from domtri import (
     Coloring,
-    ColoringLimitExceeded,
     class_sizes,
     diamond_chain,
     four_coloring,
@@ -232,13 +231,6 @@ def test_kempe_fallback_swaps_chains(monkeypatch):
     g = random_triangulation(9, 4)
     assert is_proper(g, four_coloring(g))
     assert swaps
-
-
-def test_four_coloring_limit_is_named(monkeypatch):
-    monkeypatch.setattr(coloring, "_SEARCH_NODES", 0)
-    monkeypatch.setattr(coloring, "_kempe_free", lambda *args: None)
-    with pytest.raises(ColoringLimitExceeded, match="no Kempe swap"):
-        four_coloring(octahedron())
 
 
 def test_stacked_coloring_dominates():

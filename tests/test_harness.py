@@ -24,6 +24,7 @@ from domtri import (
     run_sweep,
     to_pgr,
 )
+from domtri import coloring
 from domtri.harness import FAMILIES
 
 TINY_CONFIG = """\
@@ -148,6 +149,16 @@ def test_run_sweep_deterministic(tmp_path):
     b = emit(second, tmp_path / "b")
     for pa, pb in zip(a, b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_coloring_limit_is_a_report_error(monkeypatch):
+    monkeypatch.setattr(coloring, "_SEARCH_NODES", 0)
+    monkeypatch.setattr(coloring, "_kempe_free", lambda *args: None)
+    (rep,) = run_sweep(parse_sweep_config("families = octahedron\n"))
+    assert not rep.holds
+    assert [e.split(" at ")[0] for e in rep.errors] == [
+        "combinator: no Kempe swap frees a class"
+    ]
 
 
 def test_run_sweep_all_odd_instances():
