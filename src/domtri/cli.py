@@ -45,6 +45,7 @@ from .harness import (
     run_sweep,
 )
 from .plane_graph import (
+    NEAR_OR_PLANAR,
     EmbeddingError,
     InvariantBreach,
     check_faces_inequality,
@@ -76,7 +77,7 @@ def _input_file(path: str):
     with, is a usage error."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, IndexError, TypeError, ValueError) as exc:
         what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise UsageError(f"{path}: {what}") from None
 
@@ -232,7 +233,7 @@ def _cmd_verify(args) -> int:
         rep = check_faces_inequality(g)
         print(f"faces_inequality: {rep.lhs} <= {rep.rhs} {'ok' if rep.holds else 'FAIL'}")
         ok = ok and rep.holds
-    if cls.category.value in ("near_triangulation", "planar_triangulation") and g.n >= 4:
+    if cls.category in NEAR_OR_PLANAR and g.n >= 4:
         try:
             for v in g.vertices():
                 neighborhood_structure(g, v)

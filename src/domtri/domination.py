@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .coloring import Coloring, is_proper
 from .plane_graph import (
+    NEAR_OR_PLANAR,
     Category,
     InvariantBreach,
     PlaneGraph,
@@ -52,6 +53,7 @@ class DominationResult:
     per_class: tuple[int, ...] | None = None
     union_s: frozenset[int] | None = None  # the combinator's S1 u .. u Sk
     used_fallback: bool = False
+    undominated: tuple[frozenset[int], ...] | None = None  # the combinator's U_i
 
 
 def is_dominating(g: PlaneGraph, s) -> bool:
@@ -60,7 +62,7 @@ def is_dominating(g: PlaneGraph, s) -> bool:
 
 def is_independent(g: PlaneGraph, s) -> bool:
     s = frozenset(s)
-    return all(not g.has_edge(u, v) for u in s for v in s if u < v)
+    return all(s.isdisjoint(g.neighbors(v)) for v in s)
 
 
 def undominated_by(g: PlaneGraph, c: Coloring, i: int) -> frozenset[int]:
@@ -95,7 +97,7 @@ def _in_triangle(g: PlaneGraph, v: int) -> bool:
 
 
 def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
-    """Smallest of the k independent dominating sets C_i u S_i.
+    """Smallest of the k independent dominating sets C_i u S_i; keeps every U_i.
 
     When some class is empty and every vertex lies in a triangle, the
     smallest nonempty class is itself dominating and is returned
@@ -106,6 +108,8 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
     if not is_proper(g, c):
         raise ValueError("coloring is not proper")
     members = [c.class_members(i) for i in range(c.k)]
+    everything = frozenset(g.vertices())
+    u_sets = tuple(everything - closed_neighborhood(g, m) for m in members)
 
     if any(not m for m in members) and all(
         _in_triangle(g, v) for v in g.vertices()
@@ -115,10 +119,10 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
             raise ValueError("empty graph has no dominating class")
         _, i = min(nonempty)
         chosen = members[i]
-        if not (is_dominating(g, chosen) and is_independent(g, chosen)):
+        if u_sets[i]:  # a class of a proper coloring is independent
             raise InvariantBreach(
-                f"nonempty class {i} is not independent dominating despite "
-                f"an empty class and all vertices in triangles\n{to_pgr(g)}"
+                f"nonempty class {i} does not dominate despite an empty "
+                f"class and all vertices in triangles\n{to_pgr(g)}"
             )
         return DominationResult(
             vertices=chosen,
@@ -127,9 +131,9 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
             witness_class=i,
             union_s=frozenset(),
             used_fallback=True,
+            undominated=u_sets,
         )
 
-    u_sets = [undominated_by(g, c, i) for i in range(c.k)]
     s_sets = [
         greedy_maximal_independent(_induced_adjacency(g, u)) for u in u_sets
     ]
@@ -141,11 +145,7 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
                 f"{to_pgr(g)}\ncoloring={c.colors}\nS_{i}={sorted(s_sets[i])}"
             )
 
-    category = classify(g).category
-    if c.k == 4 and category in (
-        Category.NEAR_TRIANGULATION,
-        Category.PLANAR_TRIANGULATION,
-    ):
+    if c.k == 4 and classify(g).category in NEAR_OR_PLANAR:
         for i in range(4):
             ni = closed_neighborhood(g, u_sets[i])
             for j in range(4):
@@ -170,6 +170,7 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
         witness_class=best,
         per_class=sizes,
         union_s=frozenset().union(*s_sets),
+        undominated=u_sets,
     )
 
 
@@ -369,13 +370,10 @@ def verify_combinator_accounting(
     planar-triangulation and minimum-degree-5 refinements when they
     apply.
     """
-    if result.union_s is None:
-        raise ValueError("result lacks the combinator's union_s record")
+    if result.union_s is None or result.undominated is None:
+        raise ValueError("result lacks the combinator's union_s and U_i records")
     cls = classify(g)
-    if cls.category not in (
-        Category.NEAR_TRIANGULATION,
-        Category.PLANAR_TRIANGULATION,
-    ):
+    if cls.category not in NEAR_OR_PLANAR:
         raise ValueError("accounting applies to near triangulations")
 
     n = g.n
@@ -435,11 +433,9 @@ def verify_combinator_accounting(
             )
         )
     if result.used_fallback:
-        nonempty = [
-            i for i in range(c.k) if c.class_members(i)
-        ]
+        # a nonempty class dominates iff its U_i is empty
         bad = sum(
-            0 if is_dominating(g, c.class_members(i)) else 1 for i in nonempty
+            1 for i, u in enumerate(result.undominated) if u and c.class_members(i)
         )
         checks.append(BoundRecord("fallback_classes_dominating", bad, 0))
         checks.append(BoundRecord("fallback_size", result.size, Fraction(n, 3)))

@@ -38,7 +38,6 @@ from .domination import (
     exact_iota,
     is_dominating,
     is_independent,
-    undominated_by,
     verify_combinator_accounting,
 )
 from .generators import (
@@ -57,7 +56,9 @@ from .generators import (
     split_seed,
 )
 from .plane_graph import (
+    NEAR_OR_PLANAR,
     Category,
+    GraphClass,
     InvariantBreach,
     PlaneGraph,
     check_faces_inequality,
@@ -177,13 +178,16 @@ class SweepConfig:
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
-    """Accepts '7', '2,5,9' and '4..8' (inclusive range)."""
+    """Accepts '7', '2,5,9' and '4..8' (inclusive, nonempty range)."""
     out: list[int] = []
     for part in raw.split(","):
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            span = range(int(lo), int(hi) + 1)
+            if not span:
+                raise ValueError(f"no integers in range {part!r}")
+            out.extend(span)
         elif part:
             out.append(int(part))
     if not out:
@@ -291,10 +295,7 @@ def _structure_checks(ctx: _Ctx, g: PlaneGraph, cls) -> None:
             "<=",
             "invariant",
         )
-    if (
-        cls.category in (Category.NEAR_TRIANGULATION, Category.PLANAR_TRIANGULATION)
-        and g.n >= 4
-    ):
+    if cls.category in NEAR_OR_PLANAR and g.n >= 4:
         try:
             for v in g.vertices():
                 neighborhood_structure(g, v)
@@ -307,10 +308,7 @@ def _structure_checks(ctx: _Ctx, g: PlaneGraph, cls) -> None:
 
 
 def _combinator_checks(ctx: _Ctx, g: PlaneGraph, cls) -> DominationResult | None:
-    if cls.category not in (
-        Category.NEAR_TRIANGULATION,
-        Category.PLANAR_TRIANGULATION,
-    ):
+    if cls.category not in NEAR_OR_PLANAR:
         return None
     n = g.n
     try:
@@ -326,14 +324,8 @@ def _combinator_checks(ctx: _Ctx, g: PlaneGraph, cls) -> DominationResult | None
             ctx.rec("combinator_min5_n3", res.size, Fraction(n, 3))
     if ctx.on("accounting"):
         try:
-            acct = verify_combinator_accounting(g, c, res)
-            ctx.rec(
-                "combinator_accounting",
-                sum(0 if ch.holds else 1 for ch in acct),
-                0,
-                "<=",
-                "invariant",
-            )
+            verify_combinator_accounting(g, c, res)  # raises on a failing row
+            ctx.rec("combinator_accounting", 0, 0, "<=", "invariant")
         except InvariantBreach as exc:
             ctx.errors.append(f"accounting: {exc}")
     if cls.category is Category.PLANAR_TRIANGULATION:
@@ -362,10 +354,6 @@ def _oracle_checks(ctx: _Ctx, g: PlaneGraph, cls, res: DominationResult | None):
     if not ctx.on("oracles"):
         return None, None
     n = g.n
-    near_or_planar = cls.category in (
-        Category.NEAR_TRIANGULATION,
-        Category.PLANAR_TRIANGULATION,
-    )
     iota = gamma = None
     if n <= ctx.cfg.iota_max_n:
         try:
@@ -385,7 +373,7 @@ def _oracle_checks(ctx: _Ctx, g: PlaneGraph, cls, res: DominationResult | None):
     if gamma is not None:
         if iota is not None:
             ctx.rec("gamma_le_iota", gamma.size, iota.size, "<=", "invariant")
-        if near_or_planar:
+        if cls.category in NEAR_OR_PLANAR:
             ctx.rec("gamma_near_n3", gamma.size, Fraction(n, 3))
         if cls.category is Category.PLANAR_TRIANGULATION:
             ctx.rec("conjecture_gamma_n4", gamma.size, Fraction(n, 4), "<=", "conjecture")
@@ -495,12 +483,8 @@ def _all_odd_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
     ctx.rec("degrees_all_odd", even, 0, "<=", "invariant")
 
 
-def _evaluate(
-    ctx: _Ctx,
-    g: PlaneGraph,
-    family: str,
-    extra: dict,
-) -> tuple[list[BoundRecord], list[str], object]:
+def _evaluate(ctx: _Ctx, g: PlaneGraph, family: str, extra: dict):
+    """Record every check on g in ctx; return g's classification."""
     cls = classify(g)
     _structure_checks(ctx, g, cls)
     res = _combinator_checks(ctx, g, cls)
@@ -508,7 +492,7 @@ def _evaluate(
     check = FAMILIES[family].check
     if check is not None:
         check(ctx, g, extra, iota, gamma)
-    return ctx.records, ctx.errors, cls
+    return cls
 
 
 # -- graph families -----------------------------------------------------------
@@ -635,6 +619,9 @@ def _plan_family(cfg: SweepConfig, fam_idx: int, family: str):
             yield f"{family}-{fam.size}{v}", seed, {fam.size: v, **opts}
 
 
+_UNBUILT = GraphClass(Category.INVALID, 0, False, False, False)  # build raised
+
+
 def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
     reports: list[BoundReport] = []
     for fam_idx, family in enumerate(cfg.families):
@@ -642,43 +629,32 @@ def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
         for graph_id, seed, params in _plan_family(cfg, fam_idx, family):
             t0 = time.perf_counter()
             ctx = _Ctx(cfg)
+            n, cls = 0, _UNBUILT
             try:
                 g, extra = build(seed, **params)
             except Exception as exc:  # construction failures are data
-                reports.append(
-                    BoundReport(
-                        graph_id=graph_id,
-                        family=family,
-                        n=0,
-                        seed=seed,
-                        category="invalid",
-                        min_degree=0,
-                        all_degrees_odd=False,
-                        all_degrees_even=False,
-                        records=(),
-                        errors=(f"build: {exc}",),
-                        runtime_ms=(time.perf_counter() - t0) * 1e3,
-                    )
-                )
-                continue
-            if g is None:  # a sampler gave up; nothing to check
-                continue
-            try:
-                records, errors, cls = _evaluate(ctx, g, family, extra)
-            except Exception as exc:
-                records, errors, cls = ctx.records, ctx.errors + [f"evaluate: {exc}"], classify(g)
+                ctx.errors.append(f"build: {exc}")
+            else:
+                if g is None:  # a sampler gave up; nothing to check
+                    continue
+                n = g.n
+                try:
+                    cls = _evaluate(ctx, g, family, extra)
+                except Exception as exc:
+                    ctx.errors.append(f"evaluate: {exc}")
+                    cls = classify(g)
             reports.append(
                 BoundReport(
                     graph_id=graph_id,
                     family=family,
-                    n=g.n,
+                    n=n,
                     seed=seed,
                     category=cls.category.value,
                     min_degree=cls.min_degree,
                     all_degrees_odd=cls.all_degrees_odd,
                     all_degrees_even=cls.all_degrees_even,
-                    records=tuple(records),
-                    errors=tuple(errors),
+                    records=tuple(ctx.records),
+                    errors=tuple(ctx.errors),
                     runtime_ms=(time.perf_counter() - t0) * 1e3,
                 )
             )
@@ -714,7 +690,8 @@ def odd_degree_analysis(
     and when every degree is odd every class dominates.  The
     (2 - alpha) n / 4 size comparison is only recorded; a violation is
     interesting data, not an implementation error, so it surfaces as a
-    finding instead of an exception.
+    finding instead of an exception.  A given `combinator_result` must be
+    `class_combinator(g, c)`: its U_i are read, not derived again.
     """
     cls = classify(g)
     if cls.category is not Category.PLANAR_TRIANGULATION or c.k != 4:
@@ -723,19 +700,20 @@ def odd_degree_analysis(
     odd = [v for v in g.vertices() if g.degree(v) % 2 == 1]
     alpha = Fraction(len(odd), n)
 
-    u_sets = [undominated_by(g, c, i) for i in range(4)]
-    stray = sorted(set(odd) & set().union(*u_sets))
+    res = combinator_result or class_combinator(g, c)
+    if res.undominated is None:
+        raise ValueError("combinator_result lacks the combinator's U_i record")
+    stray = sorted(set(odd) & set().union(*res.undominated))
     if stray:
         raise InvariantBreach(
             f"odd-degree vertices undominated by some class: {stray}"
         )
-    non_dominating = sum(1 for u in u_sets if u)  # class i dominates iff U_i = {}
+    non_dominating = sum(1 for u in res.undominated if u)  # C_i dominates iff U_i = {}
     if alpha == 1 and non_dominating:
         raise InvariantBreach(
             f"{non_dominating} classes fail to dominate an all-odd triangulation"
         )
 
-    res = combinator_result or class_combinator(g, c)
     bound = (2 - alpha) * Fraction(n, 4)
     iota = iota_result.size if iota_result is not None else None
     return OddDegreeRecord(

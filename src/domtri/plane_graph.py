@@ -43,6 +43,9 @@ class Category(str, Enum):
     INVALID = "invalid"
 
 
+NEAR_OR_PLANAR = (Category.NEAR_TRIANGULATION, Category.PLANAR_TRIANGULATION)
+
+
 @dataclass(frozen=True)
 class GraphClass:
     category: Category

@@ -115,6 +115,12 @@ def test_unreadable_input_file_is_usage_error(tmp_path, capsys, command):
     assert "No such file or directory" in err and "nope" in err
 
 
+def _report_line(lhs: str) -> str:
+    """A report line whose one record has the raw JSON `lhs`."""
+    record = f'{{"name": "a", "lhs": {lhs}, "rhs": "1", "op": "<=", "level": "bound"}}'
+    return f'{{"graph_id": "g", "records": [{record}]}}\n'
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [
@@ -131,6 +137,8 @@ def test_unreadable_input_file_is_usage_error(tmp_path, capsys, command):
         ),
         ("audit", "not json\n", "Expecting value"),
         ("audit", '{"graph_id": "g"}\n', "missing field 'records'"),
+        ("audit", _report_line('"1/0"'), "Fraction(1, 0)"),
+        ("audit", _report_line("Infinity"), "cannot convert Infinity"),
     ],
     ids=[
         "coloring-token",
@@ -141,6 +149,8 @@ def test_unreadable_input_file_is_usage_error(tmp_path, capsys, command):
         "trace-unknown-vertex",
         "report-not-json",
         "report-no-records",
+        "report-zero-denominator",
+        "report-infinite-lhs",
     ],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, message):

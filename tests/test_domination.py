@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domtri import domination
+from domtri import coloring, domination, harness
 from domtri import (
     Coloring,
     DominationResult,
@@ -25,8 +26,11 @@ from domtri import (
     k4_chain,
     near_triangulation_from,
     octahedron,
+    odd_degree_analysis,
     random_connected_plane,
     random_triangulation,
+    rec_eulerian_six_coloring,
+    recursive_eulerian,
     undominated_by,
     verify_combinator_accounting,
 )
@@ -81,6 +85,65 @@ def test_undominated_by():
     assert undominated_by(g, c, 3) == frozenset(range(6))
     with pytest.raises(ValueError, match="not proper"):
         undominated_by(g, Coloring(4, (0, 0, 1, 2, 1, 2)), 0)
+
+
+def test_is_independent_matches_pairwise_definition():
+    rng = random.Random(0)
+    seen = set()
+    for g in (octahedron(), random_triangulation(30, 2), random_connected_plane(20, 3)):
+        for _ in range(200):
+            s = frozenset(rng.sample(range(g.n), rng.randint(0, 5)))
+            pairwise = all(not g.has_edge(u, v) for u in s for v in s if u < v)
+            assert is_independent(g, s) == pairwise, sorted(s)
+            seen.add(pairwise)
+    assert seen == {True, False}
+
+
+def _combinator_grid():
+    for n in (5, 8, 13, 21):
+        for seed in (1, 2):
+            g = random_triangulation(n, seed)
+            yield g, four_coloring(g)
+            near = near_triangulation_from(g, seed % n)[0]
+            yield near, four_coloring(near)
+    for g in (k4(), octahedron(), icosahedron()):
+        yield g, four_coloring(g)
+    g, trace = recursive_eulerian(2, 3)
+    yield g, rec_eulerian_six_coloring(g, trace)
+
+
+def test_combinator_undominated_matches_undominated_by():
+    paths = set()
+    for g, c in _combinator_grid():
+        r = class_combinator(g, c)
+        assert r.undominated == tuple(undominated_by(g, c, i) for i in range(c.k))
+        paths.add(r.used_fallback)
+    assert paths == {True, False}
+
+
+@pytest.mark.parametrize(
+    "build, fallback",
+    [(lambda: random_triangulation(200, 5), False), (octahedron, True)],
+    ids=["random200", "octahedron"],
+)
+def test_check_chain_checks_properness_twice(monkeypatch, build, fallback):
+    g = build()
+    passes = []
+
+    def counted(*args):
+        passes.append(1)
+        return original(*args)
+
+    original = coloring.is_proper
+    for module in (coloring, domination, harness):
+        monkeypatch.setattr(module, "is_proper", counted)
+    c = four_coloring(g)
+    res = class_combinator(g, c)
+    verify_combinator_accounting(g, c, res)
+    odd_degree_analysis(g, c, combinator_result=res)
+    # once in four_coloring, once in class_combinator
+    assert len(passes) == 2
+    assert res.used_fallback == fallback
 
 
 def test_greedy_independent_order():

@@ -24,7 +24,7 @@ from domtri import (
     run_sweep,
     to_pgr,
 )
-from domtri import coloring
+from domtri import coloring, harness
 from domtri.harness import FAMILIES
 
 TINY_CONFIG = """\
@@ -131,6 +131,8 @@ def test_parse_config_rejects_bad_input():
         parse_sweep_config("families = random\nrandom.n = 9..\n")
     with pytest.raises(ValueError, match="near.n: no integers"):
         parse_sweep_config("families = near\nnear.n = 6..5\n")
+    with pytest.raises(ValueError, match="near.n: no integers in range '6..5'"):
+        parse_sweep_config("families = near\nnear.n = 4, 6..5\n")
 
 
 def test_config_serialize_round_trip():
@@ -159,6 +161,26 @@ def test_coloring_limit_is_a_report_error(monkeypatch):
     assert [e.split(" at ")[0] for e in rep.errors] == [
         "combinator: no Kempe swap frees a class"
     ]
+
+
+def test_build_failure_is_a_report_error():
+    (rep,) = run_sweep(parse_sweep_config("families = diamond\ndiamond.k = 1\n"))
+    assert (rep.n, rep.category, rep.records) == (0, "invalid", ())
+    assert rep.errors == ("build: diamond chain needs k >= 2, got 1",)
+    assert not rep.holds
+
+
+def test_evaluate_failure_keeps_earlier_rows(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("oracle exploded")
+
+    monkeypatch.setattr(harness, "exact_iota", boom)
+    (rep,) = run_sweep(parse_sweep_config("families = k4\n"))
+    assert (rep.n, rep.category) == (4, "planar_triangulation")
+    assert rep.errors == ("evaluate: oracle exploded",)
+    assert not rep.holds
+    names = [r.name for r in rep.records]
+    assert "combinator_accounting" in names and "iota_le_combinator" not in names
 
 
 def test_run_sweep_all_odd_instances():
@@ -227,6 +249,8 @@ def test_odd_degree_analysis_input_checks():
         odd_degree_analysis(near, four_coloring(near))
     with pytest.raises(ValueError, match="triangulation and 4 classes"):
         odd_degree_analysis(k4(), Coloring(6, (0, 1, 2, 3)))
+    with pytest.raises(ValueError, match="U_i"):
+        odd_degree_analysis(k4(), four_coloring(k4()), combinator_result=exact_iota(k4()))
 
 
 def _audit_fixture():
