@@ -130,10 +130,8 @@ def _parse_checks(raw: str) -> list[tuple[str, int | None]]:
         part = part.strip()
         if not part:
             continue
-        if part == "proper":
-            out.append(("proper", None))
-        elif part == "acyclic":
-            out.append(("acyclic", None))
+        if part in ("proper", "acyclic"):
+            out.append((part, None))
         elif part.startswith("dynamic:") and part[8:].isdigit():
             out.append(("dynamic", int(part[8:])))
         else:

@@ -272,23 +272,20 @@ def rec_eulerian_six_coloring(g: PlaneGraph, trace: BuildTrace) -> Coloring:
     if replay(trace) != g:
         raise ValueError("trace does not rebuild the given graph")
 
-    adj: list[set[int]] = [{1, 2}, {0, 2}, {0, 1}]
     colors = [0, 1, 2]
 
     def missing(v: int) -> set[int]:
-        return set(range(6)) - {colors[v]} - {colors[u] for u in adj[v]}
+        # The replayed trace adds only the next ids and never removes an
+        # edge, so the colored ids induce the graph grown so far.
+        seen = {colors[u] for u in g.neighbors(v) if u < len(colors)}
+        return set(range(6)) - {colors[v]} - seen
 
     for step in trace.steps:
         x, y, z = step.face
-        a, b, c = step.new
         # pin down the relabeling: face colors to 0,1,2; singleton
         # missing colors to 3,4,5
         want: dict[int, int] = {}
-        for src, dst in (
-            (colors[x], 0),
-            (colors[y], 1),
-            (colors[z], 2),
-        ):
+        for src, dst in ((colors[x], 0), (colors[y], 1), (colors[z], 2)):
             if want.setdefault(src, dst) != dst:
                 raise InvariantBreach(
                     f"face {step.face} colors collide under relabeling"
@@ -308,12 +305,5 @@ def rec_eulerian_six_coloring(g: PlaneGraph, trace: BuildTrace) -> Coloring:
         colors = [perm[col] for col in colors]
 
         colors.extend((4, 5, 3))  # a, b, c
-        adj += [set(), set(), set()]  # a, b, c
-        for u, v in (
-            (a, y), (a, z), (b, x), (b, z), (c, x), (c, y),
-            (a, b), (a, c), (b, c),
-        ):
-            adj[u].add(v)
-            adj[v].add(u)
 
     return Coloring(6, tuple(colors))

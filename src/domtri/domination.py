@@ -43,6 +43,10 @@ class OracleLimit:
 IOTA_LIMIT = OracleLimit(max_vertices=35)
 GAMMA_LIMIT = OracleLimit(max_vertices=24)
 
+# Chosen vertices an oracle search may hold before it gives up.  Each one
+# is a Python frame, and Python's default recursion limit is 1000.
+_MAX_DEPTH = 500
+
 
 @dataclass(frozen=True)
 class DominationResult:
@@ -178,10 +182,7 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
 
 
 def _masks(g: PlaneGraph):
-    nbr = [0] * g.n
-    for v in g.vertices():
-        for u in g.neighbors(v):
-            nbr[v] |= 1 << u
+    nbr = [sum(1 << u for u in g.neighbors(v)) for v in g.vertices()]
     closed = [nbr[v] | (1 << v) for v in g.vertices()]
     return nbr, closed
 
@@ -193,24 +194,26 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _check_limit(g: PlaneGraph, limit: OracleLimit, what: str):
-    if g.n > limit.max_vertices:
-        raise OracleLimitExceeded(
-            f"{what} oracle limited to n <= {limit.max_vertices}, got {g.n}"
-        )
-
-
 class _Budget:
-    def __init__(self, limit: OracleLimit, what: str):
-        self.limit = limit
-        self.what = what
-        self.nodes = 0
+    """One oracle call's limits: an oversized graph is refused at once,
+    and `tick` counts a search node at the given depth."""
 
-    def tick(self):
+    def __init__(self, g: PlaneGraph, limit: OracleLimit, what: str):
+        if g.n > limit.max_vertices:
+            raise OracleLimitExceeded(
+                f"{what} oracle limited to n <= {limit.max_vertices}, got {g.n}"
+            )
+        self.limit, self.what, self.nodes = limit, what, 0
+
+    def tick(self, depth: int):
         self.nodes += 1
         if self.nodes > self.limit.max_nodes:
             raise OracleLimitExceeded(
                 f"{self.what} oracle exceeded {self.limit.max_nodes} nodes"
+            )
+        if depth > _MAX_DEPTH:
+            raise OracleLimitExceeded(
+                f"{self.what} oracle search exceeded {_MAX_DEPTH} chosen vertices"
             )
 
 
@@ -218,7 +221,7 @@ def exact_iota(g: PlaneGraph, limit: OracleLimit = IOTA_LIMIT) -> DominationResu
     """Minimum independent dominating set (equivalently minimum maximal
     independent set) by branch and bound over which vertex dominates the
     currently most constrained undominated vertex."""
-    _check_limit(g, limit, "iota")
+    budget = _Budget(g, limit, "iota")
     n = g.n
     nbr, closed = _masks(g)
     full = (1 << n) - 1
@@ -226,11 +229,10 @@ def exact_iota(g: PlaneGraph, limit: OracleLimit = IOTA_LIMIT) -> DominationResu
     seed = greedy_maximal_independent(g.adjacency())
     best_mask = sum(1 << v for v in seed)
     best = len(seed)
-    budget = _Budget(limit, "iota")
 
     def rec(s_mask, f_mask, e_mask, d_mask, size):
         nonlocal best, best_mask
-        budget.tick()
+        budget.tick(size)
         if d_mask == full:
             if size < best:
                 best, best_mask = size, s_mask
@@ -276,7 +278,7 @@ def exact_iota(g: PlaneGraph, limit: OracleLimit = IOTA_LIMIT) -> DominationResu
 def exact_gamma(g: PlaneGraph, limit: OracleLimit = GAMMA_LIMIT) -> DominationResult:
     """Minimum dominating set by branch and bound over the closed
     neighborhood of the lowest-id undominated vertex."""
-    _check_limit(g, limit, "gamma")
+    budget = _Budget(g, limit, "gamma")
     n = g.n
     _, closed = _masks(g)
     full = (1 << n) - 1
@@ -290,11 +292,10 @@ def exact_gamma(g: PlaneGraph, limit: OracleLimit = GAMMA_LIMIT) -> DominationRe
         best_mask |= 1 << w
         dom |= closed[w]
     best = best_mask.bit_count()
-    budget = _Budget(limit, "gamma")
 
     def rec(s_mask, e_mask, d_mask, size):
         nonlocal best, best_mask
-        budget.tick()
+        budget.tick(size)
         if d_mask == full:
             if size < best:
                 best, best_mask = size, s_mask

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .plane_graph import (
     EmbeddingError,
@@ -18,6 +18,7 @@ from .plane_graph import (
     _after,
     _canonical,
     _count_components,
+    _edges,
     _flip,
     _insert_span,
     deleted_vertex_region_dart,
@@ -48,9 +49,9 @@ class TraceStep:
     new: tuple[int, ...]  # 1 id for stack, 3 ids (a, b, c) for triangle
 
     def __post_init__(self):
-        if self.kind not in ("stack", "triangle"):
+        if self.kind not in _STEPS:
             raise ValueError(f"unknown step kind {self.kind!r}")
-        if len(self.new) != (1 if self.kind == "stack" else 3):
+        if len(self.new) != _STEPS[self.kind][1]:
             raise ValueError(f"step {self.kind!r} got new={self.new}")
 
 
@@ -68,14 +69,7 @@ class BuildTrace:
     steps: tuple[TraceStep, ...]
 
     def to_json(self) -> str:
-        doc = {
-            "family": self.family,
-            "steps": [
-                {"kind": s.kind, "face": list(s.face), "new": list(s.new)}
-                for s in self.steps
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "BuildTrace":
@@ -112,6 +106,10 @@ def _triangle_insert(rot, walk, a, b, c):
     _insert_span(rot, y, x, [c, a])
     _insert_span(rot, z, y, [a, b])
     rot += [[c, b, z, y], [c, x, z, a], [x, b, a, y]]
+
+
+# Each step kind: its insertion and the number of new ids it adds.
+_STEPS = {"stack": (_stack, 1), "triangle": (_triangle_insert, 3)}
 
 
 def _faces_at(rot, vs):
@@ -177,28 +175,55 @@ def icosahedron() -> PlaneGraph:
 # -- incremental families -----------------------------------------------------
 
 
+def _grow(kind, steps, seed, eligible=None):
+    """Grow the base triangle by `steps` insertions of one kind, each into
+    an inner face drawn uniformly at random from those that
+    `eligible(rot, walk)` accepts (all when None).  Returns the rotation
+    lists and the trace steps."""
+    insert, count = _STEPS[kind]
+    rng = random.Random(seed)
+    rot = [list(r) for r in _TRIANGLE_ROT]
+    # Inner faces as walks from their smallest vertex; sorted, they come
+    # in the smallest-dart order in which PlaneGraph traces faces.
+    faces = {_TRIANGLE_INNER}
+    trace = []
+    for _ in range(steps):
+        order = sorted(faces)
+        if eligible:
+            order = [f for f in order if eligible(rot, f)]
+        walk = order[rng.randrange(len(order))]
+        new = tuple(range(len(rot), len(rot) + count))
+        insert(rot, walk, *new)
+        faces.remove(walk)
+        faces |= _faces_at(rot, new)
+        trace.append(TraceStep(kind, walk, new))
+    return rot, tuple(trace)
+
+
+def _stacked(n, seed):
+    """The lists and trace steps of a stacked triangulation on n vertices."""
+    if n < 3:
+        raise ValueError(f"a stacked triangulation needs n >= 3, got {n}")
+    return _grow("stack", n - 3, seed)
+
+
 def planar_three_tree(n: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
     """Stacked triangulation: start from a triangle, repeatedly pick a
     uniformly random inner face and stack a degree-3 vertex into it.
 
     n = 3 is the bare triangle and n = 4 is K4 regardless of seed.
     """
-    if n < 3:
-        raise ValueError(f"a stacked triangulation needs n >= 3, got {n}")
-    rng = random.Random(seed)
-    rot = [list(r) for r in _TRIANGLE_ROT]
-    # Inner faces as walks from their smallest vertex; sorted, they come
-    # in the smallest-dart order in which PlaneGraph traces faces.
-    faces = {_TRIANGLE_INNER}
-    steps = []
-    for w in range(3, n):
-        order = sorted(faces)
-        walk = order[rng.randrange(len(order))]
-        _stack(rot, walk, w)
-        faces.remove(walk)
-        faces |= _faces_at(rot, (w,))
-        steps.append(TraceStep("stack", walk, (w,)))
-    return PlaneGraph(rot, outer_dart=(0, 1)), BuildTrace("three_tree", tuple(steps))
+    rot, steps = _stacked(n, seed)
+    return PlaneGraph(rot, outer_dart=(0, 1)), BuildTrace("three_tree", steps)
+
+
+def _eulerian_face(rot, walk):
+    """Whether recursive_eulerian may insert into the face `walk`."""
+    return (
+        len(rot) < 6
+        or all(len(rot[v]) >= 6 for v in walk)
+        or all(len(rot[v]) == 4 for v in walk)
+    )
 
 
 def recursive_eulerian(t: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
@@ -218,27 +243,8 @@ def recursive_eulerian(t: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
     """
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
-    rng = random.Random(seed)
-    rot = [list(r) for r in _TRIANGLE_ROT]
-    faces = {_TRIANGLE_INNER}
-    steps = []
-    for i in range(t):
-        order = sorted(faces)
-        if len(rot) >= 6:
-            order = [
-                f
-                for f in order
-                if all(len(rot[v]) >= 6 for v in f)
-                or all(len(rot[v]) == 4 for v in f)
-            ]
-        walk = order[rng.randrange(len(order))]
-        a, b, c = 3 + 3 * i, 4 + 3 * i, 5 + 3 * i
-        _triangle_insert(rot, walk, a, b, c)
-        faces.remove(walk)
-        faces |= _faces_at(rot, (a, b, c))
-        steps.append(TraceStep("triangle", walk, (a, b, c)))
-    g = PlaneGraph(rot, outer_dart=(0, 1))
-    return g, BuildTrace("recursive_eulerian", tuple(steps))
+    rot, steps = _grow("triangle", t, seed, _eulerian_face)
+    return PlaneGraph(rot, outer_dart=(0, 1)), BuildTrace("recursive_eulerian", steps)
 
 
 def replay(trace: BuildTrace) -> PlaneGraph:
@@ -247,10 +253,7 @@ def replay(trace: BuildTrace) -> PlaneGraph:
     for s in trace.steps:
         if list(s.new) != list(range(len(rot), len(rot) + len(s.new))):
             raise ValueError(f"step {s} must add the next unused ids from {len(rot)}")
-        if s.kind == "stack":
-            _stack(rot, s.face, s.new[0])
-        else:
-            _triangle_insert(rot, s.face, *s.new)
+        _STEPS[s.kind][0](rot, s.face, *s.new)
     return PlaneGraph(rot, outer_dart=(0, 1))
 
 
@@ -364,16 +367,15 @@ def k4_chain(k: int) -> tuple[PlaneGraph, frozenset[int]]:
 def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGraph:
     """Random stacked triangulation mixed by a seeded walk of random edge
     flips (illegal flips are skipped).  flips defaults to 3n."""
-    g, _ = planar_three_tree(n, split_seed(seed, 0))
+    step, _ = _stacked(n, split_seed(seed, 0))
     if flips is None:
         flips = 3 * n
     rng = random.Random(split_seed(seed, 1))
     # Outputs per (n, seed) are fixed (seeds in full.cfg were sampled from
     # them), so each flip edits canonical lists and the next edge is drawn
     # in the order PlaneGraph(edited lists).edges() gives: frozenset order.
-    rot = _canonical(g.rotations)
-    edges = g.edges()
-    step = None
+    rot = _canonical(step)
+    edges = _edges(map(frozenset, step))
     for _ in range(flips):
         u, v = edges[rng.randrange(len(edges))]
         if v < 3:  # an edge of the outer triangle (0, 1, 2)
@@ -383,8 +385,8 @@ def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGr
         except EmbeddingError:
             continue
         step, rot = rot, _canonical(rot)
-        edges = [(a, b) for a, r in enumerate(step) for b in frozenset(r) if a < b]
-    return g if step is None else PlaneGraph(step, outer_dart=(0, 1))
+        edges = _edges(map(frozenset, step))
+    return PlaneGraph(step, outer_dart=(0, 1))
 
 
 def random_connected_plane(n: int, seed: int) -> PlaneGraph:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -117,19 +117,14 @@ class BoundReport:
             BoundRecord(r["name"], r["lhs"], r["rhs"], r["op"], r["level"])
             for r in doc["records"]
         )
-        return BoundReport(
-            graph_id=doc["graph_id"],
-            family=doc["family"],
-            n=doc["n"],
-            seed=doc["seed"],
-            category=doc["category"],
-            min_degree=doc["min_degree"],
-            all_degrees_odd=doc["all_degrees_odd"],
-            all_degrees_even=doc["all_degrees_even"],
-            records=records,
-            errors=tuple(doc.get("errors", ())),
-            runtime_ms=doc.get("runtime_ms"),
-        )
+        # a field with a default may be absent; any other must be present
+        kw = {
+            f.name: doc[f.name]
+            for f in fields(BoundReport)
+            if f.name in doc or f.default is MISSING
+        }
+        kw.update(records=records, errors=tuple(kw.get("errors", ())))
+        return BoundReport(**kw)
 
 
 # -- sweep config -------------------------------------------------------------
@@ -195,6 +190,22 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _parse_count(raw: str) -> int:
+    """A count: an integer >= 0."""
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
+def _parse_key(key: str, parse: Callable[[str], object], raw: str):
+    """parse(raw), naming the key in any error."""
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _parse_pairs(raw: str) -> tuple[tuple[int, int], ...]:
     """Accepts 'n:seed' pairs separated by commas; empty means none."""
     out = []
@@ -218,21 +229,22 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         pairs.append((key, value))
 
-    def take(key: str, default: str | None) -> str | None:
+    def take(key: str, default: str | None, parse=None):
         nonlocal pairs
         hit = [v for k, v in pairs if k == key]
         pairs = [(k, v) for k, v in pairs if k != key]
-        return hit[0] if hit else default
+        raw = hit[0] if hit else default
+        return raw if parse is None else _parse_key(key, parse, raw)
 
-    seed = int(take("seed", "1"))
+    seed = take("seed", "1", int)
     fams = tuple(
         f.strip() for f in (take("families", "") or "").split(",") if f.strip()
     )
     unknown = [f for f in fams if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families: {unknown}")
-    iota_max = int(take("iota_max_n", str(IOTA_LIMIT.max_vertices)))
-    gamma_max = int(take("gamma_max_n", str(GAMMA_LIMIT.max_vertices)))
+    iota_max = take("iota_max_n", str(IOTA_LIMIT.max_vertices), _parse_count)
+    gamma_max = take("gamma_max_n", str(GAMMA_LIMIT.max_vertices), _parse_count)
     checks_raw = take("checks", "all") or "all"
     if checks_raw.strip() == "all":
         checks = _DEFAULT_CHECKS
@@ -250,10 +262,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
         parse = FAMILIES[family].keys().get(name) if family in FAMILIES else None
         if parse is None:
             raise ValueError(f"unknown key {key!r}")
-        try:
-            parse(value)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
+        _parse_key(key, parse, value)
     return SweepConfig(
         seed=seed,
         families=fams,
@@ -383,13 +392,8 @@ def _oracle_checks(ctx: _Ctx, g: PlaneGraph, cls, res: DominationResult | None):
 def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
     n = g.n
     v4 = [v for v in g.vertices() if g.degree(v) == 4]
-    ctx.rec(
-        "degrees_all_even",
-        sum(1 for d in g.degrees() if d % 2),
-        0,
-        "<=",
-        "invariant",
-    )
+    odd = sum(1 for d in g.degrees() if d % 2)
+    ctx.rec("degrees_all_even", odd, 0, "<=", "invariant")
     if n >= 9:
         ctx.rec(
             "deg4_disjoint_triangles",
@@ -530,12 +534,12 @@ class Family:
         """The config keys this family reads, each with its value parser."""
         shape = {
             "fixed": {},
-            "count": {self.size: _parse_ints, "count": int},
+            "count": {self.size: _parse_ints, "count": _parse_count},
             "sizes": {self.size: _parse_ints},
-            "grid": {self.size: _parse_ints, "seeds": int},
+            "grid": {self.size: _parse_ints, "seeds": _parse_count},
             "pairs": {"instances": _parse_pairs},
         }[self.plan]
-        return shape | {name: int for name, _ in self.options}
+        return shape | {name: _parse_count for name, _ in self.options}
 
 
 # Builders call the generators through this module's names at call time,

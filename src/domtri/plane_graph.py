@@ -82,9 +82,7 @@ class FacesInequalityReport:
 def _cyclic_canon(seq: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically smallest rotation of a cyclic sequence."""
     t = tuple(seq)
-    if not t:
-        return t
-    return min(tuple(t[i:] + t[:i]) for i in range(len(t)))
+    return min((t[i:] + t[:i] for i in range(len(t))), default=t)
 
 
 def _face_orbits(rotations: Sequence[Sequence[int]]) -> list[list[Dart]]:
@@ -117,6 +115,12 @@ def _canonical(rotations: Sequence[Sequence[int]]) -> list[list[int]]:
         i = rot.index(min(rot)) if rot else 0
         canon.append(rot[i:] + rot[:i])
     return canon
+
+
+def _edges(neighbor_sets: Iterable[frozenset[int]]) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, by u and then in the iteration order of u's
+    set.  The flip walk draws edges by index in this order."""
+    return [(u, v) for u, nbrs in enumerate(neighbor_sets) for v in nbrs if u < v]
 
 
 def _count_components(adj: Sequence[Iterable[int]]) -> int:
@@ -256,7 +260,7 @@ class PlaneGraph:
         return tuple(len(a) for a in self._adj)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
+        return _edges(self._adj)
 
     def adjacency(self) -> dict[int, frozenset[int]]:
         return {v: self._adj[v] for v in range(self.n)}
@@ -447,29 +451,10 @@ def check_faces_inequality(h: PlaneGraph) -> FacesInequalityReport:
 # -- edge flip ---------------------------------------------------------------
 
 
-def flip_edge(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
-    """Replace inner edge uv of a triangulation by the other diagonal.
-
-    The two triangles uvx / uvy become xy-triangles.  Refuses edges on
-    the outer face, flips that would create a parallel edge, and the
-    degenerate x == y case.
-    """
-    if not g.has_edge(u, v):
-        raise ValueError(f"no edge ({u}, {v})")
-    if any(f.degree != 3 for f in g.faces):
-        raise EmbeddingError("flip_edge expects a triangulation (all faces triangles)")
-    if g.outer_face_id in (g.face_of_dart(u, v), g.face_of_dart(v, u)):
-        raise EmbeddingError(f"edge ({u}, {v}) lies on the outer face")
-    rot = [list(r) for r in g.rotations]
-    _flip(rot, u, v)
-    ob = g.outer_face.boundary
-    return PlaneGraph(rot, outer_dart=(ob[0], ob[1]))
-
-
 def _flip(rot: list[list[int]], u: int, v: int) -> None:
     """Flip edge uv of the triangles (u, v, x) and (v, u, y) to xy in the
     rotation lists, refusing x == y and an existing edge xy before any
-    list changes."""
+    list changes.  A missing edge uv raises ValueError."""
     x = _after(rot, u, v)
     y = _after(rot, v, u)
     if x == y:

@@ -6,6 +6,7 @@ import pytest
 from domtri import (
     Coloring,
     coloring,
+    domination,
     is_dominating,
     is_independent,
     is_proper,
@@ -271,6 +272,17 @@ def test_dominate_respects_limit(tmp_path, capsys):
     assert "oracle limit" in err
 
 
+def test_dominate_deep_search_is_oracle_limit(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "g.pgr"
+    main(["gen", "diamond", "--k", "3", "-o", str(p)])
+    capsys.readouterr()
+    monkeypatch.setattr(domination, "_MAX_DEPTH", 3)
+    for method in ("iota", "gamma"):
+        code, out, err = run(capsys, "dominate", str(p), "--method", method)
+        assert (code, out) == (1, "")
+        assert err.startswith("oracle limit:") and "Traceback" not in err
+
+
 def test_sweep_and_audit(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(TINY_CONFIG)
@@ -302,7 +314,13 @@ def test_sweep_bad_config_is_usage_error(tmp_path, capsys):
     assert "config error" in err
     code, _, err = run(capsys, "sweep", "-c", str(tmp_path / "missing.cfg"))
     assert code == 2
-    for bad in ("random.cout = 3", "random.count = abc", "all_odd.instances = 8"):
+    for bad in (
+        "random.cout = 3",
+        "random.count = abc",
+        "all_odd.instances = 8",
+        "seed = abc",
+        "random.count = -3",
+    ):
         cfg.write_text(f"families = random, all_odd\n{bad}\n")
         code, out, err = run(capsys, "sweep", "-c", str(cfg))
         assert code == 2 and out == ""

@@ -279,6 +279,19 @@ def test_six_coloring_depth_sweep(t, seed):
     assert is_r_dynamic(g, c, 5)
 
 
+def test_six_coloring_is_pinned():
+    # Digest of the colors for t = 0..24 and seeds 1..4, taken when the
+    # coloring kept its own adjacency lists instead of reading the graph.
+    digest = hashlib.sha256()
+    for t in range(25):
+        for seed in range(1, 5):
+            g, trace = recursive_eulerian(t, seed)
+            digest.update(repr(rec_eulerian_six_coloring(g, trace).colors).encode())
+    assert digest.hexdigest() == (
+        "912e831592869741c470ff4a792e0ada0d0ebd2c66fbfe082d4075d8a12a07aa"
+    )
+
+
 def test_six_coloring_rejects_mismatched_trace():
     g, _ = recursive_eulerian(2, 0)
     _, other = recursive_eulerian(2, 1)

@@ -192,6 +192,20 @@ def test_oracle_node_budget():
         exact_gamma(g, OracleLimit(max_vertices=35, max_nodes=0))
 
 
+def test_oracle_search_depth_limit(monkeypatch):
+    g = diamond_chain(3)  # iota 6, gamma 5
+    assert (exact_iota(g).size, exact_gamma(g).size) == (6, 5)
+    monkeypatch.setattr(domination, "_MAX_DEPTH", 3)
+    with pytest.raises(OracleLimitExceeded, match="3 chosen vertices"):
+        exact_iota(g)
+    with pytest.raises(OracleLimitExceeded, match="3 chosen vertices"):
+        exact_gamma(g)
+    monkeypatch.undo()
+    # a search pruned at the root still finishes, however large its answer
+    big = k4_chain(1200)[0]
+    assert exact_iota(big, OracleLimit(max_vertices=big.n)).size == 1200
+
+
 def test_combinator_requires_proper():
     with pytest.raises(ValueError, match="not proper"):
         class_combinator(k4(), Coloring(4, (0, 0, 1, 2)))

@@ -184,9 +184,10 @@ def test_flip_walk_is_pinned():
 
 
 def test_generated_maps_are_built_once(monkeypatch):
-    # The walk builds the stacked start and the result; the connected
-    # family adds its thinned map.  Rebuilding after every flip made 407,
-    # 2 and 57 builds.
+    # The growth loop and the flip walk edit rotation lists and build only
+    # their result; the connected family adds its thinned map.  Rebuilding
+    # after every flip made 407, 2 and 57 builds, and building the walk's
+    # stacked start as a map made 2 and 3.
     builds = []
     init = PlaneGraph.__init__
 
@@ -196,9 +197,11 @@ def test_generated_maps_are_built_once(monkeypatch):
 
     monkeypatch.setattr(PlaneGraph, "__init__", counting_init)
     for build, args, most in (
-        (random_triangulation, (200, 1), 2),
+        (random_triangulation, (200, 1), 1),
+        (planar_three_tree, (40, 3), 1),
+        (recursive_eulerian, (12, 3), 1),
         (diamond_chain, (3,), 1),
-        (random_connected_plane, (30, 2), 3),
+        (random_connected_plane, (30, 2), 2),
     ):
         builds.clear()
         build(*args)

@@ -133,6 +133,17 @@ def test_parse_config_rejects_bad_input():
         parse_sweep_config("families = near\nnear.n = 6..5\n")
     with pytest.raises(ValueError, match="near.n: no integers in range '6..5'"):
         parse_sweep_config("families = near\nnear.n = 4, 6..5\n")
+    with pytest.raises(ValueError, match="^seed: invalid literal"):
+        parse_sweep_config("seed = abc\nfamilies = k4\n")
+    for key in ("random.count", "iota_max_n", "gamma_max_n"):
+        with pytest.raises(ValueError, match=f"^{key}: must be >= 0, got -3"):
+            parse_sweep_config(f"families = random\n{key} = -3\n")
+    with pytest.raises(ValueError, match="^eulerian.seeds: must be >= 0"):
+        parse_sweep_config("families = eulerian\neulerian.seeds = -1\n")
+    with pytest.raises(ValueError, match="^min_degree5.budget: must be >= 0"):
+        parse_sweep_config("families = min_degree5\nmin_degree5.budget = -1\n")
+    zero = parse_sweep_config("families = random\nrandom.count = 0\n")
+    assert zero.get_int("random.count", 200) == 0
 
 
 def test_config_serialize_round_trip():

@@ -30,8 +30,8 @@ from domtri.plane_graph import (
     closed_neighborhood,
     delete_vertices,
     deleted_vertex_region_dart,
+    _flip,
     face_degree_histogram,
-    flip_edge,
     neighborhood_structure,
     parse_pgr,
     to_pgr,
@@ -347,16 +347,23 @@ def test_faces_inequality_requires_connected():
         check_faces_inequality(PlaneGraph([[1], [0], [3], [2]]))
 
 
+def flipped(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
+    """g with edge uv flipped by the rotation-list flip of the walk."""
+    rot = [list(r) for r in g.rotations]
+    _flip(rot, u, v)
+    ob = g.outer_face.boundary
+    return PlaneGraph(rot, outer_dart=(ob[0], ob[1]))
+
+
 def test_k4_has_no_flippable_edge():
     g = k4()
     outer = set(g.outer_face.boundary)
     hub = next(v for v in g.vertices() if v not in outer)
     for u in g.neighbors(hub):
-        with pytest.raises(EmbeddingError):
-            flip_edge(g, hub, u)
-    a, b = sorted(outer)[:2]
-    with pytest.raises(EmbeddingError, match="outer face"):
-        flip_edge(g, a, b)
+        rot = [list(r) for r in g.rotations]
+        with pytest.raises(EmbeddingError, match="parallel edge"):
+            _flip(rot, hub, u)
+        assert rot == [list(r) for r in g.rotations]  # refused before any edit
 
 
 def test_flip_is_an_involution_on_octahedron():
@@ -369,12 +376,12 @@ def test_flip_is_an_involution_on_octahedron():
         and g.outer_face_id
         not in (g.face_of_dart(a, b), g.face_of_dart(b, a))
     )
-    flipped = flip_edge(g, u, v)
-    assert classify(flipped).category is Category.PLANAR_TRIANGULATION
-    assert not flipped.has_edge(u, v)
+    h = flipped(g, u, v)
+    assert classify(h).category is Category.PLANAR_TRIANGULATION
+    assert not h.has_edge(u, v)
     x = next(w for w in g.faces[g.face_of_dart(u, v)].boundary if w not in (u, v))
     y = next(w for w in g.faces[g.face_of_dart(v, u)].boundary if w not in (u, v))
-    assert flip_edge(flipped, x, y) == g
+    assert flipped(h, x, y) == g
 
 
 def test_flip_rejects_missing_edge_and_non_triangulations():
@@ -385,10 +392,10 @@ def test_flip_rejects_missing_edge_and_non_triangulations():
         for b in g.vertices()
         if a < b and not g.has_edge(a, b)
     )
+    rot = [list(r) for r in g.rotations]
     with pytest.raises(ValueError):
-        flip_edge(g, *non_edge)
-    with pytest.raises(EmbeddingError, match="triangulation"):
-        flip_edge(hex_disk(), 0, 2)
+        _flip(rot, *non_edge)
+    assert rot == [list(r) for r in g.rotations]
 
 
 def test_pgr_round_trip():
