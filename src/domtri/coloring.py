@@ -115,8 +115,12 @@ def is_acyclic(g: PlaneGraph, c: Coloring) -> bool:
 def missing_colors(g: PlaneGraph, c: Coloring, v: int) -> frozenset[int]:
     """Classes absent from the closed neighborhood of v."""
     _require_proper(g, c)
-    seen = {c[v]} | {c[u] for u in g.neighbors(v)}
-    return frozenset(range(c.k)) - seen
+    return _missing(g, c, v)
+
+
+def _missing(g: PlaneGraph, c: Coloring, v: int) -> frozenset[int]:
+    """missing_colors for a coloring already known to be proper."""
+    return frozenset(range(c.k)) - {c[v]} - {c[u] for u in g.neighbors(v)}
 
 
 # Vertex choices the four_coloring search may make before it falls back to

@@ -8,6 +8,7 @@ integer seeds; identical arguments give identical graphs.
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 from dataclasses import asdict, dataclass
@@ -18,7 +19,6 @@ from .plane_graph import (
     _after,
     _canonical,
     _count_components,
-    _edges,
     _flip,
     _insert_span,
     deleted_vertex_region_dart,
@@ -184,19 +184,32 @@ def _grow(kind, steps, seed, eligible=None):
     rng = random.Random(seed)
     rot = [list(r) for r in _TRIANGLE_ROT]
     # Inner faces as walks from their smallest vertex; sorted, they come
-    # in the smallest-dart order in which PlaneGraph traces faces.
+    # in the smallest-dart order in which PlaneGraph traces faces.  `pool`
+    # keeps the drawable ones sorted.
     faces = {_TRIANGLE_INNER}
+    pool = [f for f in faces if not eligible or eligible(rot, f)]
     trace = []
     for _ in range(steps):
-        order = sorted(faces)
-        if eligible:
-            order = [f for f in order if eligible(rot, f)]
-        walk = order[rng.randrange(len(order))]
+        walk = pool.pop(rng.randrange(len(pool)))
         new = tuple(range(len(rot), len(rot) + count))
         insert(rot, walk, *new)
         faces.remove(walk)
-        faces |= _faces_at(rot, new)
+        added = _faces_at(rot, new)
+        faces |= added
         trace.append(TraceStep(kind, walk, new))
+        if not eligible:
+            for f in added:
+                bisect.insort(pool, f)
+        elif len(rot) <= 6:  # eligible may read len(rot) here
+            pool = [f for f in sorted(faces) if eligible(rot, f)]
+        else:  # only the corners and the new vertices changed degree
+            for f in _faces_at(rot, walk + new) & faces:
+                i = bisect.bisect_left(pool, f)
+                drawable = pool[i : i + 1] == [f]
+                if drawable and not eligible(rot, f):
+                    del pool[i]
+                elif not drawable and eligible(rot, f):
+                    pool.insert(i, f)
     return rot, tuple(trace)
 
 
@@ -370,23 +383,58 @@ def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGr
     step, _ = _stacked(n, split_seed(seed, 0))
     if flips is None:
         flips = 3 * n
+    if flips < 0:
+        raise ValueError(f"flip count must be >= 0, got {flips}")
     rng = random.Random(split_seed(seed, 1))
     # Outputs per (n, seed) are fixed (seeds in full.cfg were sampled from
-    # them), so each flip edits canonical lists and the next edge is drawn
-    # in the order PlaneGraph(edited lists).edges() gives: frozenset order.
-    rot = _canonical(step)
-    edges = _edges(map(frozenset, step))
+    # them): each flip edits canonical lists `rot`, and the next edge is
+    # drawn in the PlaneGraph(step).edges() order, `step` being the lists
+    # the last accepted flip left.  Only the lists it or the flip before
+    # touched differ from `rot`; a Fenwick tree over the counts of
+    # higher-id neighbors finds the edge's u.
+    rot = [_canonical(r) for r in step]
+    sets = [frozenset(r) for r in step]
+    tree = [0] * (n + 1)
+    for u, nbrs in enumerate(sets):
+        _fenwick_add(tree, u, sum(w > u for w in nbrs))
+    last = set(range(n))  # the stacked start's lists are not canonical
     for _ in range(flips):
-        u, v = edges[rng.randrange(len(edges))]
+        u, k = _fenwick_find(tree, rng.randrange(tree[0]))
+        v = [w for w in sets[u] if w > u][k]
         if v < 3:  # an edge of the outer triangle (0, 1, 2)
             continue
         try:
-            _flip(rot, u, v)
+            x, y = _flip(rot, u, v)
         except EmbeddingError:
             continue
-        step, rot = rot, _canonical(rot)
-        edges = _edges(map(frozenset, step))
+        _fenwick_add(tree, min(u, v), -1)
+        _fenwick_add(tree, min(x, y), 1)
+        for w in last | {u, v, x, y}:
+            step[w], rot[w] = rot[w], _canonical(rot[w])
+            sets[w] = frozenset(step[w])
+        last = {u, v, x, y}
     return PlaneGraph(step, outer_dart=(0, 1))
+
+
+def _fenwick_add(tree, i, d):
+    """Add d to count i of a Fenwick tree; tree[0] is the total."""
+    tree[0] += d
+    i += 1
+    while i < len(tree):
+        tree[i] += d
+        i += i & -i
+
+
+def _fenwick_find(tree, k):
+    """The index i with sum(counts[:i]) <= k < sum(counts[:i + 1]), and
+    k - sum(counts[:i])."""
+    i, bit = 0, 1 << len(tree).bit_length()
+    while bit:
+        if i + bit < len(tree) and tree[i + bit] <= k:
+            i += bit
+            k -= tree[i]
+        bit >>= 1
+    return i, k
 
 
 def random_connected_plane(n: int, seed: int) -> PlaneGraph:

@@ -18,11 +18,11 @@ from typing import Callable
 from .coloring import (
     Coloring,
     ColoringLimitExceeded,
+    _missing,
     class_sizes,
     four_coloring,
     is_proper,
     is_r_dynamic,
-    missing_colors,
     rec_eulerian_six_coloring,
     stacked_four_coloring,
 )
@@ -407,15 +407,12 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None
         return
     six = rec_eulerian_six_coloring(g, extra["trace"])
     ctx.rec("six_coloring_proper", 0 if is_proper(g, six) else 1, 0, "<=", "invariant")
-    ctx.rec(
-        "six_coloring_5dynamic",
-        0 if is_r_dynamic(g, six, 5) else 1,
-        0,
-        "<=",
-        "invariant",
-    )
+    # is_r_dynamic raises on an improper coloring, so the missing classes
+    # below are read unchecked.
+    dynamic = is_r_dynamic(g, six, 5)
+    ctx.rec("six_coloring_5dynamic", 0 if dynamic else 1, 0, "<=", "invariant")
     bad_pairs = 0
-    miss = {v: missing_colors(g, six, v) for v in v4}
+    miss = {v: _missing(g, six, v) for v in v4}
     for u in v4:
         for w in g.neighbors(u):
             if w in miss and u < w and miss[u] == miss[w]:
@@ -424,8 +421,8 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None
     shape_bad = sum(
         1
         for v in g.vertices()
-        if (g.degree(v) == 4 and len(missing_colors(g, six, v)) != 1)
-        or (g.degree(v) >= 6 and missing_colors(g, six, v))
+        if (g.degree(v) == 4 and len(miss[v]) != 1)
+        or (g.degree(v) >= 6 and _missing(g, six, v))
     )
     ctx.rec("six_coloring_missing_shape", shape_bad, 0, "<=", "invariant")
     try:

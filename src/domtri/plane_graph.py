@@ -108,19 +108,10 @@ def _face_orbits(rotations: Sequence[Sequence[int]]) -> list[list[Dart]]:
     return orbits
 
 
-def _canonical(rotations: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Copies of the rotations, each starting at its smallest neighbor."""
-    canon = []
-    for rot in map(list, rotations):
-        i = rot.index(min(rot)) if rot else 0
-        canon.append(rot[i:] + rot[:i])
-    return canon
-
-
-def _edges(neighbor_sets: Iterable[frozenset[int]]) -> list[tuple[int, int]]:
-    """Edges (u, v), u < v, by u and then in the iteration order of u's
-    set.  The flip walk draws edges by index in this order."""
-    return [(u, v) for u, nbrs in enumerate(neighbor_sets) for v in nbrs if u < v]
+def _canonical(rot: Sequence[int]) -> Sequence[int]:
+    """A copy of the rotation starting at its smallest neighbor."""
+    i = rot.index(min(rot)) if rot else 0
+    return rot[i:] + rot[:i]
 
 
 def _count_components(adj: Sequence[Iterable[int]]) -> int:
@@ -182,7 +173,7 @@ class PlaneGraph:
                     raise EmbeddingError(f"asymmetric adjacency between {v} and {u}")
 
         self.n = n
-        self.rotations = tuple(map(tuple, _canonical(rotations)))
+        self.rotations = tuple(_canonical(tuple(rot)) for rot in rotations)
         self._adj = tuple(adj)
         self.edge_count = sum(len(rot) for rot in adj) // 2
 
@@ -260,7 +251,9 @@ class PlaneGraph:
         return tuple(len(a) for a in self._adj)
 
     def edges(self) -> list[tuple[int, int]]:
-        return _edges(self._adj)
+        """Edges (u, v), u < v, by u and then in the iteration order of
+        u's neighbor set.  The flip walk draws edges by index in this order."""
+        return [(u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if u < v]
 
     def adjacency(self) -> dict[int, frozenset[int]]:
         return {v: self._adj[v] for v in range(self.n)}
@@ -451,10 +444,10 @@ def check_faces_inequality(h: PlaneGraph) -> FacesInequalityReport:
 # -- edge flip ---------------------------------------------------------------
 
 
-def _flip(rot: list[list[int]], u: int, v: int) -> None:
+def _flip(rot: list[list[int]], u: int, v: int) -> tuple[int, int]:
     """Flip edge uv of the triangles (u, v, x) and (v, u, y) to xy in the
-    rotation lists, refusing x == y and an existing edge xy before any
-    list changes.  A missing edge uv raises ValueError."""
+    rotation lists and return (x, y), refusing x == y and an existing edge
+    xy before any list changes.  A missing edge uv raises ValueError."""
     x = _after(rot, u, v)
     y = _after(rot, v, u)
     if x == y:
@@ -468,6 +461,7 @@ def _flip(rot: list[list[int]], u: int, v: int) -> None:
     # at y it goes right after u.
     _insert_span(rot, x, v, [y])
     _insert_span(rot, y, u, [x])
+    return x, y
 
 
 def _insert_span(rot: list[list[int]], v: int, after: int, new: list[int]) -> None:

@@ -68,6 +68,13 @@ def test_gen_missing_size_argument(capsys):
     assert "needs n >= 3" in err
 
 
+def test_gen_negative_flips_is_usage_error(capsys):
+    for family in ("random", "near"):
+        code, out, err = run(capsys, "gen", family, "--n", "10", "--flips", "-5")
+        assert (code, out) == (2, "")
+        assert "flip count must be >= 0, got -5" in err
+
+
 def test_gen_trace_only_for_traced_families(tmp_path, capsys):
     code, out, err = run(capsys, "gen", "k4", "--trace", str(tmp_path / "t.json"))
     assert (code, out) == (2, "")

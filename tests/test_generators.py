@@ -11,6 +11,8 @@ from domtri.domination import is_dominating, is_independent
 from domtri.generators import (
     BuildTrace,
     TraceStep,
+    _fenwick_add,
+    _fenwick_find,
     diamond_chain,
     diamond_chain_witness,
     icosahedron,
@@ -181,6 +183,55 @@ def test_flip_walk_is_pinned():
     assert digest.hexdigest() == (
         "f0a53959fd3c9b3e3ae6a065fdd1f78260dfe4e8c173c952f898e79f7f64bb02"
     )
+
+
+def test_flip_walk_long_is_pinned():
+    # Digest of to_pgr plus edges() order, taken when every accepted flip
+    # re-canonicalised all n lists and rebuilt the whole edge list: the
+    # 6n-flip walks of min_degree5_sample, a 1000-vertex walk and the
+    # connected family, which shuffles edges(), must all survive the walk
+    # that refreshes only the lists a flip touched.
+    digest = hashlib.sha256()
+    graphs = [
+        random_triangulation(n, s, flips=6 * n) for n in range(14, 21) for s in (1, 2, 3)
+    ]
+    graphs.append(random_triangulation(1000, 1))
+    graphs += [random_connected_plane(30, s) for s in (1, 2, 3)]
+    for g in graphs:
+        digest.update((to_pgr(g) + repr(g.edges())).encode())
+    assert digest.hexdigest() == (
+        "e723b521d1cd2501e45c27f774755e1f4ce5c6c683fb6f312386001faf042588"
+    )
+
+
+def test_fenwick_find_matches_a_prefix_scan():
+    # The walk finds the u of its edge index k through these two helpers;
+    # zero counts (vertices with no higher-id neighbor) must be skipped.
+    counts = [0, 3, 0, 0, 1, 5, 0, 2, 1, 0, 0, 4]
+    tree = [0] * (len(counts) + 1)
+    for i, c in enumerate(counts):
+        _fenwick_add(tree, i, c)
+    _fenwick_add(tree, 5, -2)
+    _fenwick_add(tree, 2, 2)
+    counts[5] -= 2
+    counts[2] += 2
+    expected = [(i, j) for i, c in enumerate(counts) for j in range(c)]
+    assert tree[0] == len(expected)
+    assert [_fenwick_find(tree, k) for k in range(tree[0])] == expected
+
+
+def test_generator_steps_are_local():
+    # Each flip and growth step edits only what it touches.  At O(n) a step
+    # these took about 6 s, 5 s and 15 s.
+    for build, args in (
+        (random_triangulation, (1000, 1)),
+        (planar_three_tree, (3000, 1)),
+        (recursive_eulerian, (1300, 1)),
+    ):
+        t0 = time.perf_counter()
+        build(*args)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 2.0, (build.__name__, elapsed)
 
 
 def test_generated_maps_are_built_once(monkeypatch):

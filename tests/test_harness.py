@@ -24,7 +24,7 @@ from domtri import (
     run_sweep,
     to_pgr,
 )
-from domtri import coloring, harness
+from domtri import coloring, domination, harness
 from domtri.harness import FAMILIES
 
 TINY_CONFIG = """\
@@ -172,6 +172,37 @@ def test_coloring_limit_is_a_report_error(monkeypatch):
     assert [e.split(" at ")[0] for e in rep.errors] == [
         "combinator: no Kempe swap frees a class"
     ]
+
+
+def test_eulerian_checks_check_properness_a_fixed_number_of_times(monkeypatch):
+    passes = []
+
+    def counted(*args):
+        passes.append(1)
+        return original(*args)
+
+    original = coloring.is_proper
+    for module in (coloring, domination, harness):
+        monkeypatch.setattr(module, "is_proper", counted)
+    cfg = "families = eulerian\neulerian.t = 100\neulerian.seeds = 1\nchecks = coloring\n"
+    (rep,) = run_sweep(parse_sweep_config(cfg))
+    assert rep.n == 303 and rep.holds
+    # four_coloring and class_combinator on the 4-coloring; the
+    # six_coloring_proper row, is_r_dynamic and class_combinator on the
+    # 6-coloring.  Checking it per missing-color read made 500.
+    assert len(passes) == 5
+
+
+def test_improper_six_coloring_is_an_evaluate_error(monkeypatch):
+    def one_class(g, trace):
+        return Coloring(6, (0,) * g.n)
+
+    monkeypatch.setattr(harness, "rec_eulerian_six_coloring", one_class)
+    cfg = "families = eulerian\neulerian.t = 3\neulerian.seeds = 1\n"
+    (rep,) = run_sweep(parse_sweep_config(cfg))
+    assert rep.records[-1].name == "six_coloring_proper"
+    assert rep.records[-1].lhs == 1
+    assert rep.errors == ("evaluate: coloring is not proper",)
 
 
 def test_build_failure_is_a_report_error():
