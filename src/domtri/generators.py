@@ -185,9 +185,9 @@ def _grow(kind, steps, seed, eligible=None):
     rot = [list(r) for r in _TRIANGLE_ROT]
     # Inner faces as walks from their smallest vertex; sorted, they come
     # in the smallest-dart order in which PlaneGraph traces faces.  `pool`
-    # keeps the drawable ones sorted.
+    # keeps the drawable ones sorted; the base face is always drawable.
     faces = {_TRIANGLE_INNER}
-    pool = [f for f in faces if not eligible or eligible(rot, f)]
+    pool = [_TRIANGLE_INNER]
     trace = []
     for _ in range(steps):
         walk = pool.pop(rng.randrange(len(pool)))
@@ -200,8 +200,6 @@ def _grow(kind, steps, seed, eligible=None):
         if not eligible:
             for f in added:
                 bisect.insort(pool, f)
-        elif len(rot) <= 6:  # eligible may read len(rot) here
-            pool = [f for f in sorted(faces) if eligible(rot, f)]
         else:  # only the corners and the new vertices changed degree
             for f in _faces_at(rot, walk + new) & faces:
                 i = bisect.bisect_left(pool, f)
@@ -232,11 +230,7 @@ def planar_three_tree(n: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
 
 def _eulerian_face(rot, walk):
     """Whether recursive_eulerian may insert into the face `walk`."""
-    return (
-        len(rot) < 6
-        or all(len(rot[v]) >= 6 for v in walk)
-        or all(len(rot[v]) == 4 for v in walk)
-    )
+    return all(len(rot[v]) >= 6 for v in walk) or all(len(rot[v]) == 4 for v in walk)
 
 
 def recursive_eulerian(t: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
