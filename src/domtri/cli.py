@@ -181,6 +181,8 @@ def _result_doc(res, n: int) -> dict:
     if res.witness_class is not None:
         doc["witness_class"] = res.witness_class
         doc["used_fallback"] = res.used_fallback
+    if res.nodes is not None:
+        doc["nodes"] = res.nodes
     return doc
 
 

@@ -5,8 +5,12 @@ and n/3 bounds.
 The combinator turns any proper coloring into an independent dominating
 set: for each class C_i, the vertices U_i it fails to dominate get a
 maximal independent set S_i of their induced subgraph, and C_i u S_i is
-always independent dominating.  The oracles are desk-scale exact
-branch-and-bound solvers that refuse oversized inputs.
+always independent dominating.  The exact oracles for iota and gamma are
+one desk-scale branch and bound (`_search`) that refuses oversized
+inputs.  It branches on the undominated vertex with the fewest available
+dominators, tries them most-newly-dominating first, and prunes with a
+packing bound taken in ascending order of those counts.  For iota it
+also bars the neighbours of chosen vertices.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ class DominationResult:
     union_s: frozenset[int] | None = None  # the combinator's S1 u .. u Sk
     used_fallback: bool = False
     undominated: tuple[frozenset[int], ...] | None = None  # the combinator's U_i
+    nodes: int | None = None  # search nodes an exact oracle visited
 
 
 def is_dominating(g: PlaneGraph, s) -> bool:
@@ -217,117 +222,87 @@ class _Budget:
             )
 
 
-def exact_iota(g: PlaneGraph, limit: OracleLimit = IOTA_LIMIT) -> DominationResult:
-    """Minimum independent dominating set (equivalently minimum maximal
-    independent set) by branch and bound over which vertex dominates the
-    currently most constrained undominated vertex."""
-    budget = _Budget(g, limit, "iota")
+def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationResult:
+    """The branch and bound behind both oracles (see `exact_gamma`).  Each
+    later branch bars the dominators tried before it, and with
+    `independent` each chosen vertex bars its neighbours.  The packing
+    bound is sound because pairwise-disjoint dominator sets each need
+    their own chosen vertex."""
+    what = "iota" if independent else "gamma"
+    budget = _Budget(g, limit, what)
     n = g.n
     nbr, closed = _masks(g)
     full = (1 << n) - 1
+    bars = nbr if independent else [0] * n  # what choosing w makes unavailable
 
-    seed = greedy_maximal_independent(g.adjacency())
-    best_mask = sum(1 << v for v in seed)
-    best = len(seed)
-
-    def rec(s_mask, f_mask, e_mask, d_mask, size):
-        nonlocal best, best_mask
-        budget.tick(size)
-        if d_mask == full:
-            if size < best:
-                best, best_mask = size, s_mask
-            return
-        avail = ~(f_mask | e_mask)
-        packing_used = 0
-        lower = 0
-        pick = -1
-        pick_count = n + 1
-        m = full & ~d_mask
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            cov = closed[u] & avail
-            if cov == 0:
-                return
-            if cov & packing_used == 0:
-                lower += 1
-                packing_used |= cov
-            cnt = cov.bit_count()
-            if cnt < pick_count:
-                pick, pick_count = u, cnt
-        if size + lower >= best:
-            return
-        e_local = e_mask
-        for w in _bits(closed[pick] & avail):
-            rec(
-                s_mask | (1 << w),
-                f_mask | nbr[w],
-                e_local,
-                d_mask | closed[w],
-                size + 1,
-            )
-            e_local |= 1 << w
-
-    rec(0, 0, 0, 0, 0)
-    return DominationResult(
-        vertices=frozenset(_bits(best_mask)), size=best, method="exact_iota"
-    )
-
-
-def exact_gamma(g: PlaneGraph, limit: OracleLimit = GAMMA_LIMIT) -> DominationResult:
-    """Minimum dominating set by branch and bound over the closed
-    neighborhood of the lowest-id undominated vertex."""
-    budget = _Budget(g, limit, "gamma")
-    n = g.n
-    _, closed = _masks(g)
-    full = (1 << n) - 1
-
-    # greedy cover seed: repeatedly take the vertex covering the most
-    # still-undominated vertices (ties to the lower id)
-    best_mask = 0
-    dom = 0
-    while dom != full:
-        w = max(range(n), key=lambda v: ((closed[v] & ~dom).bit_count(), -v))
-        best_mask |= 1 << w
-        dom |= closed[w]
+    if independent:
+        best_mask = sum(1 << v for v in greedy_maximal_independent(g.adjacency()))
+    else:
+        # greedy cover: repeatedly take the vertex covering the most
+        # still-undominated vertices (ties to the lower id)
+        best_mask = dom = 0
+        while dom != full:
+            w = max(range(n), key=lambda v: ((closed[v] & ~dom).bit_count(), -v))
+            best_mask |= 1 << w
+            dom |= closed[w]
     best = best_mask.bit_count()
 
-    def rec(s_mask, e_mask, d_mask, size):
+    def rec(s_mask, barred, d_mask, size):
         nonlocal best, best_mask
         budget.tick(size)
         if d_mask == full:
             if size < best:
                 best, best_mask = size, s_mask
             return
-        avail = ~e_mask
-        packing_used = 0
-        lower = 0
-        pick = -1
-        m = full & ~d_mask
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
+        avail = ~barred
+        options = []
+        for u in _bits(full & ~d_mask):
             cov = closed[u] & avail
             if cov == 0:
                 return
-            if pick < 0:
-                pick = u
-            if cov & packing_used == 0:
+            options.append((cov.bit_count(), u, cov))
+        options.sort()
+        packed = 0
+        lower = 0
+        for _, _, cov in options:
+            if cov & packed == 0:
                 lower += 1
-                packing_used |= cov
+                packed |= cov
         if size + lower >= best:
             return
-        e_local = e_mask
-        for w in _bits(closed[pick] & avail):
-            rec(s_mask | (1 << w), e_local, d_mask | closed[w], size + 1)
-            e_local |= 1 << w
+        fresh = ~d_mask
+        order = sorted(
+            _bits(options[0][2]), key=lambda w: (-(closed[w] & fresh).bit_count(), w)
+        )
+        for w in order:
+            rec(s_mask | (1 << w), barred | bars[w], d_mask | closed[w], size + 1)
+            barred |= 1 << w
 
     rec(0, 0, 0, 0)
     return DominationResult(
-        vertices=frozenset(_bits(best_mask)), size=best, method="exact_gamma"
+        vertices=frozenset(_bits(best_mask)),
+        size=best,
+        method=f"exact_{what}",
+        nodes=budget.nodes,
     )
+
+
+def exact_iota(g: PlaneGraph, limit: OracleLimit = IOTA_LIMIT) -> DominationResult:
+    """Minimum independent dominating set (equivalently minimum maximal
+    independent set), from a greedy maximal independent set.  `_search`
+    branches on the dominators of the undominated vertex with the fewest
+    available ones, most newly dominating first, bounds by packing the
+    undominated vertices' dominator sets in ascending order of size, and
+    bars each chosen vertex's neighbours."""
+    return _search(g, limit, independent=True)
+
+
+def exact_gamma(g: PlaneGraph, limit: OracleLimit = GAMMA_LIMIT) -> DominationResult:
+    """Minimum dominating set, from a greedy cover.  `_search` branches on
+    the dominators of the undominated vertex with the fewest available
+    ones, most newly dominating first, and bounds by packing the
+    undominated vertices' dominator sets in ascending order of size."""
+    return _search(g, limit, independent=False)
 
 
 # -- proof accounting ---------------------------------------------------------

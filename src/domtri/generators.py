@@ -18,7 +18,6 @@ from .plane_graph import (
     PlaneGraph,
     _after,
     _canonical,
-    _count_components,
     _flip,
     _insert_span,
     deleted_vertex_region_dart,
@@ -431,6 +430,20 @@ def _fenwick_find(tree, k):
     return i, k
 
 
+def _joined(adj: list[set[int]], u: int, v: int) -> bool:
+    """Whether a search from u reaches v; it stops as soon as it does."""
+    seen = {u}
+    stack = [u]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
 def random_connected_plane(n: int, seed: int) -> PlaneGraph:
     """Random connected plane graph: a random triangulation thinned by a
     seeded pass of edge deletions that keep the graph connected."""
@@ -446,7 +459,8 @@ def random_connected_plane(n: int, seed: int) -> PlaneGraph:
             break
         adj[u].remove(v)
         adj[v].remove(u)
-        if _count_components(adj) == 1:
+        # the graph was connected with uv, so it stays so iff u reaches v
+        if adj[u] & adj[v] or _joined(adj, u, v):
             dropped += 1
         else:
             adj[u].add(v)

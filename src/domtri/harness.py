@@ -674,15 +674,12 @@ class OddDegreeRecord:
     bound: Fraction  # (2 - alpha) * n / 4
     within_bound: bool
     non_dominating_classes: int
-    iota: int | None = None
-    iota_within: bool | None = None
 
 
 def odd_degree_analysis(
     g: PlaneGraph,
     c: Coloring,
     combinator_result: DominationResult | None = None,
-    iota_result: DominationResult | None = None,
 ) -> OddDegreeRecord:
     """Check the odd-degree observations on a planar triangulation with a
     proper 4-coloring.
@@ -716,7 +713,6 @@ def odd_degree_analysis(
         )
 
     bound = (2 - alpha) * Fraction(n, 4)
-    iota = iota_result.size if iota_result is not None else None
     return OddDegreeRecord(
         n=n,
         odd_count=len(odd),
@@ -725,8 +721,6 @@ def odd_degree_analysis(
         bound=bound,
         within_bound=res.size <= bound,
         non_dominating_classes=non_dominating,
-        iota=iota,
-        iota_within=None if iota is None else iota <= bound,
     )
 
 

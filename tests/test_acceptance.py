@@ -262,13 +262,14 @@ def test_criterion_09_odd_degree_properties():
         c = four_coloring(g)
         for k in range(4):
             assert is_dominating(g, c.class_members(k)), gid
-        rec = odd_degree_analysis(g, c, iota_result=exact_iota(g))
+        rec = odd_degree_analysis(g, c)
         assert rec.alpha == 1, gid
         assert rec.non_dominating_classes == 0, gid
         # the combinator returns an independent dominating set, so the
         # minimum one can be no larger
-        assert rec.iota <= rec.combinator_size, gid
-        assert rec.iota_within, gid
+        iota = exact_iota(g).size
+        assert iota <= rec.combinator_size, gid
+        assert iota <= rec.bound, gid
         if not rec.within_bound:
             violations.append(gid)
     assert violations == []

@@ -268,6 +268,18 @@ def test_dominate_json(tmp_path, capsys):
     assert doc["method"] == "combinator" and doc["used_fallback"]
 
 
+def test_dominate_json_reports_search_nodes(tmp_path, capsys):
+    p = tmp_path / "g.pgr"
+    main(["gen", "random", "--n", "20", "--seed", "1", "-o", str(p)])
+    capsys.readouterr()
+    for method in ("iota", "gamma"):
+        code, out, _ = run(capsys, "dominate", str(p), "--method", method, "--json")
+        assert code == 0
+        assert json.loads(out)["nodes"] >= 1
+    code, out, _ = run(capsys, "dominate", str(p), "--json")
+    assert code == 0 and "nodes" not in json.loads(out)
+
+
 def test_dominate_respects_limit(tmp_path, capsys):
     p = tmp_path / "g.pgr"
     main(["gen", "random", "--n", "20", "--seed", "1", "-o", str(p)])

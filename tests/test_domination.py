@@ -31,6 +31,7 @@ from domtri import (
     random_triangulation,
     rec_eulerian_six_coloring,
     recursive_eulerian,
+    split_seed,
     undominated_by,
     verify_combinator_accounting,
 )
@@ -56,6 +57,17 @@ def brute_gamma(g):
             if is_dominating(g, frozenset(comb)):
                 return size
     raise AssertionError("graph has no dominating set")
+
+
+def relabeled(g, seed):
+    """The same plane graph with its ids permuted by a seeded shuffle."""
+    perm = list(g.vertices())
+    random.Random(seed).shuffle(perm)
+    rot = [[] for _ in perm]
+    for v in g.vertices():
+        rot[perm[v]] = [perm[u] for u in g.rotation(v)]
+    a, b = g.outer_face.boundary[:2]
+    return PlaneGraph(rot, outer_dart=(perm[a], perm[b]))
 
 
 def small_corpus():
@@ -174,6 +186,43 @@ def test_oracles_match_subset_enumeration(name, g):
     assert gamma.size <= iota.size
     assert is_independent(g, iota.vertices) and is_dominating(g, iota.vertices)
     assert is_dominating(g, gamma.vertices)
+
+
+def relabeled_small_graphs():
+    for n in (6, 8, 10, 12):
+        tri = random_triangulation(n, n)
+        near = near_triangulation_from(random_triangulation(n + 1, n), n // 2)[0]
+        plane = random_connected_plane(n, n)
+        for name, g in (("tri", tri), ("near", near), ("plane", plane)):
+            for s in (1, 2, 3):
+                yield f"{name}_{n}_perm{s}", relabeled(g, 100 * n + s)
+
+
+@pytest.mark.parametrize("name,g", list(relabeled_small_graphs()))
+def test_oracles_match_subset_enumeration_relabeled(name, g):
+    # The packing bound sorts the undominated vertices by their count of
+    # available dominators, so which one it packs first no longer follows
+    # the ids; it stays sound only while every packed set is disjoint from
+    # the others.  Permuted ids exercise other tie orders.
+    test_oracles_match_subset_enumeration(name, g)
+
+
+def test_oracle_search_stays_small():
+    # Node counts, not time.  Trying the pick's dominators in id order and
+    # packing in id order took 109,811 and 90,850 iota nodes on the first
+    # two graphs, and up to 40,164 iota and 56,861 gamma nodes on these
+    # relabelings of the third.
+    base = random_triangulation(71, split_seed(1, 11))
+    cases = [(base, (13, 10)), (near_triangulation_from(base, 11)[0], (13, 10))]
+    hard = random_triangulation(73, split_seed(1, 13))
+    cases += [(relabeled(hard, s), (13, 12)) for s in range(1, 7)]
+    for g, sizes in cases:
+        limit = OracleLimit(max_vertices=g.n, max_nodes=20_000)
+        iota, gamma = exact_iota(g, limit), exact_gamma(g, limit)
+        assert (iota.size, gamma.size) == sizes
+        assert 0 < iota.nodes <= limit.max_nodes and 0 < gamma.nodes <= limit.max_nodes
+        assert is_independent(g, iota.vertices) and is_dominating(g, iota.vertices)
+        assert is_dominating(g, gamma.vertices)
 
 
 def test_oracle_vertex_limit():

@@ -268,13 +268,14 @@ def test_render_table_marks_failures():
 def test_odd_degree_analysis_icosahedron():
     g = icosahedron()
     c = four_coloring(g)
-    rec = odd_degree_analysis(g, c, iota_result=exact_iota(g))
+    rec = odd_degree_analysis(g, c)
     assert rec.alpha == 1
     assert rec.odd_count == 12
     assert rec.bound == Fraction(3)
     assert rec.combinator_size == 3 and rec.within_bound
     assert rec.non_dominating_classes == 0
-    assert rec.iota == 2 and rec.iota_within
+    iota = exact_iota(g).size
+    assert iota == 2 and iota <= rec.bound
 
 
 def test_odd_degree_analysis_mixed_degrees():
