@@ -3,150 +3,7 @@
 Rotation-system plane graphs, seeded generators for triangulation
 families, proper / dynamic / acyclic colorings, independent-domination
 constructions with exact oracles, and a verification harness.
+
+The package re-exports nothing: import each name from its module, as the
+Layout table of README.md lists them.
 """
-
-from .coloring import (
-    Coloring,
-    ColoringLimitExceeded,
-    class_sizes,
-    four_coloring,
-    is_acyclic,
-    is_proper,
-    is_r_dynamic,
-    missing_colors,
-    rec_eulerian_six_coloring,
-    stacked_four_coloring,
-)
-from .domination import (
-    GAMMA_LIMIT,
-    IOTA_LIMIT,
-    BoundRecord,
-    DominationResult,
-    OracleLimit,
-    OracleLimitExceeded,
-    class_combinator,
-    exact_gamma,
-    exact_iota,
-    greedy_maximal_independent,
-    is_dominating,
-    is_independent,
-    undominated_by,
-    verify_combinator_accounting,
-)
-from .generators import (
-    BuildTrace,
-    TraceStep,
-    diamond_chain,
-    diamond_chain_witness,
-    icosahedron,
-    k4,
-    k4_chain,
-    min_degree5_sample,
-    near_triangulation_from,
-    octahedron,
-    planar_three_tree,
-    random_connected_plane,
-    random_triangulation,
-    recursive_eulerian,
-    replay,
-    split_seed,
-)
-from .harness import (
-    BoundReport,
-    ConjectureAudit,
-    OddDegreeRecord,
-    SweepConfig,
-    audit_conjectures,
-    emit,
-    load_reports,
-    odd_degree_analysis,
-    parse_sweep_config,
-    render_table,
-    run_sweep,
-)
-from .plane_graph import (
-    Category,
-    EmbeddingError,
-    Face,
-    GraphClass,
-    InvariantBreach,
-    PlaneGraph,
-    check_faces_inequality,
-    classify,
-    closed_neighborhood,
-    delete_vertices,
-    face_degree_histogram,
-    load_pgr,
-    neighborhood_structure,
-    parse_pgr,
-    to_pgr,
-)
-
-__all__ = [
-    "BoundRecord",
-    "BoundReport",
-    "BuildTrace",
-    "Category",
-    "Coloring",
-    "ColoringLimitExceeded",
-    "ConjectureAudit",
-    "DominationResult",
-    "EmbeddingError",
-    "Face",
-    "GAMMA_LIMIT",
-    "GraphClass",
-    "IOTA_LIMIT",
-    "InvariantBreach",
-    "OddDegreeRecord",
-    "OracleLimit",
-    "OracleLimitExceeded",
-    "PlaneGraph",
-    "SweepConfig",
-    "TraceStep",
-    "audit_conjectures",
-    "check_faces_inequality",
-    "class_combinator",
-    "class_sizes",
-    "classify",
-    "closed_neighborhood",
-    "delete_vertices",
-    "diamond_chain",
-    "diamond_chain_witness",
-    "emit",
-    "exact_gamma",
-    "exact_iota",
-    "face_degree_histogram",
-    "four_coloring",
-    "greedy_maximal_independent",
-    "icosahedron",
-    "is_acyclic",
-    "is_dominating",
-    "is_independent",
-    "is_proper",
-    "is_r_dynamic",
-    "k4",
-    "k4_chain",
-    "load_pgr",
-    "load_reports",
-    "min_degree5_sample",
-    "missing_colors",
-    "near_triangulation_from",
-    "neighborhood_structure",
-    "octahedron",
-    "odd_degree_analysis",
-    "parse_pgr",
-    "parse_sweep_config",
-    "planar_three_tree",
-    "random_connected_plane",
-    "random_triangulation",
-    "rec_eulerian_six_coloring",
-    "recursive_eulerian",
-    "render_table",
-    "replay",
-    "run_sweep",
-    "split_seed",
-    "stacked_four_coloring",
-    "to_pgr",
-    "undominated_by",
-    "verify_combinator_accounting",
-]

@@ -187,8 +187,10 @@ def _result_doc(res, n: int) -> dict:
 
 
 def _cmd_dominate(args) -> int:
-    g = load_pgr(args.graph)
     limit_n = args.limit_n
+    if limit_n is not None and limit_n < 0:
+        raise UsageError(f"--limit-n: must be >= 0, got {limit_n}")
+    g = load_pgr(args.graph)
     if args.method == "combinator":
         if args.coloring:
             with _input_file(args.coloring):

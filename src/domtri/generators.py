@@ -479,18 +479,19 @@ def near_triangulation_from(g: PlaneGraph, v: int) -> tuple[PlaneGraph, dict[int
     return PlaneGraph(rot, outer_dart=(relabel[a], relabel[b])), relabel
 
 
-def min_degree5_sample(
-    n: int, seed: int, budget: int = 50
-) -> PlaneGraph | None:
+MIN5_WALKS = 60  # flip walks per min_degree5_sample call, for gen and sweep alike
+
+
+def min_degree5_sample(n: int, seed: int) -> PlaneGraph | None:
     """Try to find a triangulation on n vertices with minimum degree 5 by
-    seeded flip walks; None when the budget runs out.  Absence is a
-    value: no such triangulation exists below n = 12, and the n = 12
+    MIN5_WALKS seeded flip walks; None when all of them miss.  Absence is
+    a value: no such triangulation exists below n = 12, and the n = 12
     instance is the icosahedron itself."""
     if n == 12:
         return icosahedron()
     if n < 12:
         return None
-    for attempt in range(budget):
+    for attempt in range(MIN5_WALKS):
         g = random_triangulation(n, split_seed(seed, 2, attempt), flips=6 * n)
         if min(g.degrees()) >= 5:
             return g

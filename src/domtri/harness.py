@@ -430,7 +430,8 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None
     except InvariantBreach as exc:
         ctx.errors.append(f"six-combinator: {exc}")
         return
-    ctx.rec("eulerian_class_bound", res6.size, Fraction(n + len(v4), 6))
+    if n >= 6:  # the theorem's smallest case is the octahedron; t = 0 is a triangle
+        ctx.rec("eulerian_class_bound", res6.size, Fraction(n + len(v4), 6))
     if n >= 9:
         ctx.rec("eulerian_13n42", res6.size, Fraction(13 * n - 12, 42))
         if iota is not None:
@@ -448,6 +449,8 @@ def _deg4_triangle_violations(g: PlaneGraph, v4) -> int:
 
 
 def _three_tree_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
+    if g.n < 4:  # the stacked bounds start at K4; n = 3 is the bare triangle
+        return
     if ctx.on("coloring"):
         c = stacked_four_coloring(extra["trace"])
         sizes = class_sizes(c)
@@ -523,20 +526,18 @@ class Family:
     sizes: tuple[int, ...] = ()  # default size list
     count: int = 0  # default `count`, or seeds per size for "grid"
     seeded: bool = False
-    options: tuple[tuple[str, int], ...] = ()  # further int keys and defaults
     flips: bool = False  # build takes a flip-walk length (`gen --flips`)
     check: Callable[..., None] | None = None  # (ctx, g, extra, iota, gamma)
 
     def keys(self) -> dict[str, Callable[[str], object]]:
         """The config keys this family reads, each with its value parser."""
-        shape = {
+        return {
             "fixed": {},
             "count": {self.size: _parse_ints, "count": _parse_count},
             "sizes": {self.size: _parse_ints},
             "grid": {self.size: _parse_ints, "seeds": _parse_count},
             "pairs": {"instances": _parse_pairs},
         }[self.plan]
-        return shape | {name: _parse_count for name, _ in self.options}
 
 
 # Builders call the generators through this module's names at call time,
@@ -580,9 +581,8 @@ FAMILIES: dict[str, Family] = {
         "k", "sizes", (2, 3, 4, 5), check=_k4_chain_checks,
     ),
     "min_degree5": Family(
-        lambda seed, n, **kw: (min_degree5_sample(n, seed, **kw), {}),
-        "n", "sizes", (12, 14, 16), seeded=True, options=(("budget", 60),),
-        check=_min_degree5_checks,
+        lambda seed, n: (min_degree5_sample(n, seed), {}),
+        "n", "sizes", (12, 14, 16), seeded=True, check=_min_degree5_checks,
     ),
     "all_odd": Family(_random, "n", "pairs", check=_all_odd_checks),
     "plane": Family(
@@ -604,20 +604,19 @@ def _plan_family(cfg: SweepConfig, fam_idx: int, family: str):
             yield f"{family}-n{n}-s{s}", s, {"n": n}
         return
     sizes = cfg.get_ints(prefix + fam.size, fam.sizes)
-    opts = {name: cfg.get_int(prefix + name, default) for name, default in fam.options}
     if fam.plan == "count":
         for i in range(cfg.get_int(prefix + "count", fam.count)):
             seed = split_seed(cfg.seed, fam_idx, i)
-            yield f"{family}-{i}", seed, {fam.size: sizes[i % len(sizes)], **opts}
+            yield f"{family}-{i}", seed, {fam.size: sizes[i % len(sizes)]}
     elif fam.plan == "grid":
         for v in sizes:
             for j in range(cfg.get_int(prefix + "seeds", fam.count)):
                 seed = split_seed(cfg.seed, fam_idx, v, j)
-                yield f"{family}-{fam.size}{v}-{j}", seed, {fam.size: v, **opts}
+                yield f"{family}-{fam.size}{v}-{j}", seed, {fam.size: v}
     else:
         for v in sizes:
             seed = split_seed(cfg.seed, fam_idx, v) if fam.seeded else 0
-            yield f"{family}-{fam.size}{v}", seed, {fam.size: v, **opts}
+            yield f"{family}-{fam.size}{v}", seed, {fam.size: v}
 
 
 _UNBUILT = GraphClass(Category.INVALID, 0, False, False, False)  # build raised

@@ -16,42 +16,45 @@ from pathlib import Path
 
 import pytest
 
-from domtri import (
-    Category,
-    check_faces_inequality,
-    class_combinator,
+from domtri.coloring import (
     class_sizes,
-    classify,
-    closed_neighborhood,
-    delete_vertices,
-    diamond_chain,
-    emit,
-    exact_gamma,
-    exact_iota,
     four_coloring,
-    icosahedron,
-    is_dominating,
-    is_independent,
     is_proper,
     is_r_dynamic,
+    missing_colors,
+    rec_eulerian_six_coloring,
+    stacked_four_coloring,
+)
+from domtri.domination import (
+    class_combinator,
+    exact_gamma,
+    exact_iota,
+    is_dominating,
+    is_independent,
+    undominated_by,
+    verify_combinator_accounting,
+)
+from domtri.generators import (
+    diamond_chain,
+    icosahedron,
     k4,
     k4_chain,
     min_degree5_sample,
-    missing_colors,
     near_triangulation_from,
     octahedron,
-    odd_degree_analysis,
-    parse_sweep_config,
     planar_three_tree,
     random_connected_plane,
     random_triangulation,
-    rec_eulerian_six_coloring,
     recursive_eulerian,
-    run_sweep,
     split_seed,
-    stacked_four_coloring,
-    undominated_by,
-    verify_combinator_accounting,
+)
+from domtri.harness import emit, odd_degree_analysis, parse_sweep_config, run_sweep
+from domtri.plane_graph import (
+    Category,
+    check_faces_inequality,
+    classify,
+    closed_neighborhood,
+    delete_vertices,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,7 +89,7 @@ def corpus():
         raw.append((f"near-{i}", h))
     min5 = [("icosahedron", icosahedron())]
     for j, n in enumerate((12, 14, 16)):
-        g = min_degree5_sample(n, split_seed(CORPUS_SEED, 2, j), budget=80)
+        g = min_degree5_sample(n, split_seed(CORPUS_SEED, 2, j))
         if g is not None:
             min5.append((f"min5-{n}", g))
     raw.extend(min5)

@@ -3,21 +3,13 @@ import time
 
 import pytest
 
-from domtri import (
-    Coloring,
-    coloring,
-    domination,
-    is_dominating,
-    is_independent,
-    is_proper,
-    k4_chain,
-    load_pgr,
-    parse_pgr,
-    random_triangulation,
-    recursive_eulerian,
-    to_pgr,
-)
+from domtri import coloring, domination, harness
 from domtri.cli import main
+from domtri.coloring import Coloring, is_proper
+from domtri.domination import is_dominating, is_independent
+from domtri.generators import k4_chain, random_triangulation, recursive_eulerian
+from domtri.harness import FAMILIES, parse_sweep_config
+from domtri.plane_graph import load_pgr, parse_pgr, to_pgr
 
 TINY_CONFIG = """\
 families = k4, icosahedron
@@ -73,6 +65,39 @@ def test_gen_negative_flips_is_usage_error(capsys):
         code, out, err = run(capsys, "gen", family, "--n", "10", "--flips", "-5")
         assert (code, out) == (2, "")
         assert "flip count must be >= 0, got -5" in err
+
+
+PLAN_CONFIG = f"""\
+seed = 3
+families = {", ".join(FAMILIES)}
+random.n = 9
+near.n = 9
+three_tree.n = 9
+eulerian.t = 2
+diamond.k = 2
+k4_chain.k = 3
+min_degree5.n = 14
+all_odd.instances = 8:5
+plane.n = 9
+"""
+
+
+def test_gen_builds_the_sweep_graph_for_every_family(monkeypatch, capsys):
+    monkeypatch.delenv("DOMTRI_SEED", raising=False)
+    cfg = parse_sweep_config(PLAN_CONFIG)
+    missing = []
+    for fam_idx, family in enumerate(cfg.families):
+        _, seed, params = next(harness._plan_family(cfg, fam_idx, family))
+        flags = [arg for k, v in params.items() for arg in (f"--{k}", str(v))]
+        code, out, err = run(capsys, "gen", family, *flags, "--seed", str(seed))
+        g = FAMILIES[family].build(seed, **params)[0]
+        if g is None:
+            missing.append(family)
+            assert (code, out) == (1, ""), family
+        else:
+            assert (code, out) == (0, to_pgr(g)), family
+    # no triangulation on 14 vertices turns up; both sides must agree on that
+    assert missing == ["min_degree5"]
 
 
 def test_gen_trace_only_for_traced_families(tmp_path, capsys):
@@ -289,6 +314,18 @@ def test_dominate_respects_limit(tmp_path, capsys):
     )
     assert code == 1
     assert "oracle limit" in err
+
+
+def test_dominate_negative_limit_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "g.pgr"
+    main(["gen", "icosahedron", "-o", str(p)])
+    capsys.readouterr()
+    for method in ("iota", "gamma"):
+        code, out, err = run(
+            capsys, "dominate", str(p), "--method", method, "--limit-n", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert "--limit-n: must be >= 0, got -1" in err
 
 
 def test_dominate_deep_search_is_oracle_limit(tmp_path, capsys, monkeypatch):

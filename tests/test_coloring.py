@@ -6,28 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domtri import (
+from domtri import coloring
+from domtri.coloring import (
     Coloring,
     class_sizes,
-    diamond_chain,
     four_coloring,
-    icosahedron,
     is_acyclic,
-    is_dominating,
     is_proper,
     is_r_dynamic,
+    missing_colors,
+    rec_eulerian_six_coloring,
+    stacked_four_coloring,
+)
+from domtri.domination import is_dominating
+from domtri.generators import (
+    diamond_chain,
+    icosahedron,
     k4,
     k4_chain,
-    missing_colors,
     near_triangulation_from,
     octahedron,
     planar_three_tree,
     random_triangulation,
-    rec_eulerian_six_coloring,
     recursive_eulerian,
-    stacked_four_coloring,
 )
-from domtri import coloring
 
 RAINBOW_K4 = Coloring(4, (0, 1, 2, 3))
 # octahedron antipodal pairs under our labeling: 0-3, 1-4, 2-5

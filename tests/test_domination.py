@@ -6,35 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domtri import coloring, domination, harness
-from domtri import (
-    Coloring,
+from domtri.coloring import Coloring, four_coloring, rec_eulerian_six_coloring
+from domtri.domination import (
     DominationResult,
-    InvariantBreach,
     OracleLimit,
     OracleLimitExceeded,
-    PlaneGraph,
     class_combinator,
-    diamond_chain,
     exact_gamma,
     exact_iota,
-    four_coloring,
     greedy_maximal_independent,
-    icosahedron,
     is_dominating,
     is_independent,
+    undominated_by,
+    verify_combinator_accounting,
+)
+from domtri.generators import (
+    diamond_chain,
+    icosahedron,
     k4,
     k4_chain,
     near_triangulation_from,
     octahedron,
-    odd_degree_analysis,
     random_connected_plane,
     random_triangulation,
-    rec_eulerian_six_coloring,
     recursive_eulerian,
     split_seed,
-    undominated_by,
-    verify_combinator_accounting,
 )
+from domtri.harness import odd_degree_analysis
+from domtri.plane_graph import InvariantBreach, PlaneGraph
 
 HEX_DISK_ROT = [[1, 2, 3, 4, 5], [2, 0], [1, 3, 0], [0, 2, 4], [5, 0, 3], [0, 4]]
 

@@ -340,8 +340,8 @@ def test_near_triangulation_from_is_pinned_and_built_once(monkeypatch):
 def test_min_degree5_sample():
     assert min_degree5_sample(12, 0) == icosahedron()
     assert min_degree5_sample(11, 0) is None  # impossible below 12 vertices
-    assert min_degree5_sample(14, 0, budget=3) is None or min(
-        min_degree5_sample(14, 0, budget=3).degrees()
+    assert min_degree5_sample(14, 0) is None or min(
+        min_degree5_sample(14, 0).degrees()
     ) == 5
 
 

@@ -4,28 +4,28 @@ from fractions import Fraction
 
 import pytest
 
-from domtri import (
-    BoundRecord,
-    BoundReport,
-    Coloring,
-    ConjectureAudit,
-    audit_conjectures,
-    emit,
-    exact_iota,
-    four_coloring,
+from domtri import coloring, domination, harness
+from domtri.coloring import Coloring, four_coloring
+from domtri.domination import BoundRecord, exact_iota
+from domtri.generators import (
     icosahedron,
     k4,
-    load_reports,
     near_triangulation_from,
+    random_triangulation,
+)
+from domtri.harness import (
+    BoundReport,
+    ConjectureAudit,
+    FAMILIES,
+    audit_conjectures,
+    emit,
+    load_reports,
     odd_degree_analysis,
     parse_sweep_config,
-    random_triangulation,
     render_table,
     run_sweep,
-    to_pgr,
 )
-from domtri import coloring, domination, harness
-from domtri.harness import FAMILIES
+from domtri.plane_graph import to_pgr
 
 TINY_CONFIG = """\
 # desk-scale smoke corpus
@@ -140,7 +140,7 @@ def test_parse_config_rejects_bad_input():
             parse_sweep_config(f"families = random\n{key} = -3\n")
     with pytest.raises(ValueError, match="^eulerian.seeds: must be >= 0"):
         parse_sweep_config("families = eulerian\neulerian.seeds = -1\n")
-    with pytest.raises(ValueError, match="^min_degree5.budget: must be >= 0"):
+    with pytest.raises(ValueError, match="unknown key 'min_degree5.budget'"):
         parse_sweep_config("families = min_degree5\nmin_degree5.budget = -1\n")
     zero = parse_sweep_config("families = random\nrandom.count = 0\n")
     assert zero.get_int("random.count", 200) == 0
@@ -162,6 +162,28 @@ def test_run_sweep_deterministic(tmp_path):
     b = emit(second, tmp_path / "b")
     for pa, pb in zip(a, b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_smallest_stacked_and_eulerian_builds_hold():
+    # planar_three_tree(3, s) and recursive_eulerian(0, s) are the bare
+    # triangle, outside the n/4 and (n+|V4|)/6 theorems: no such row is kept
+    cfg = parse_sweep_config(
+        "families = three_tree, eulerian\n"
+        "three_tree.n = 3..5\nthree_tree.count = 3\n"
+        "eulerian.t = 0..1\neulerian.seeds = 1\n"
+    )
+    reports = run_sweep(cfg)
+    assert [(rep.graph_id, rep.n) for rep in reports] == [
+        ("three_tree-0", 3), ("three_tree-1", 4), ("three_tree-2", 5),
+        ("eulerian-t0-0", 3), ("eulerian-t1-0", 6),
+    ]
+    assert all(rep.holds for rep in reports)
+    names = {rep.graph_id: {r.name for r in rep.records} for rep in reports}
+    stacked = {"stacked_classes_dominating", "three_tree_iota_n4"}
+    assert not names["three_tree-0"] & stacked
+    assert stacked <= names["three_tree-1"]
+    assert "eulerian_class_bound" not in names["eulerian-t0-0"]
+    assert "eulerian_class_bound" in names["eulerian-t1-0"]
 
 
 def test_coloring_limit_is_a_report_error(monkeypatch):
@@ -358,7 +380,7 @@ _FAMILY_GRID = (
     + [("diamond", 0, {"k": k}) for k in (2, 3, 4)]
     + [("k4_chain", 0, {"k": k}) for k in (2, 5, 7)]
     + [
-        ("min_degree5", s, {"n": n, "budget": 60})
+        ("min_degree5", s, {"n": n})
         for n, s in ((12, 1), (12, 2), (12, 7), (14, 1))
     ]
     + [("all_odd", s, {"n": n}) for n, s in ((8, 5), (10, 239), (12, 1589))]
