@@ -95,6 +95,10 @@ def _write_out(text: str, path: str | None) -> None:
 def _cmd_gen(args) -> int:
     seed = _env_seed(args.seed)
     fam = FAMILIES[args.family]
+    reads = (fam.size, "flips" if fam.flips else None)
+    for flag in ("n", "k", "t", "flips"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} is not read by gen {args.family}")
     params = {}
     if fam.size is not None:
         params[fam.size] = getattr(args, fam.size)
@@ -141,6 +145,8 @@ def _parse_checks(raw: str) -> list[tuple[str, int | None]]:
 
 def _cmd_color(args) -> int:
     checks = _parse_checks(args.check or "")
+    if args.k == 4 and args.trace is not None:
+        raise UsageError("--trace is not read with --k 4")
     g = load_pgr(args.graph)
     if args.k == 4:
         c = four_coloring(g)
@@ -187,6 +193,10 @@ def _result_doc(res, n: int) -> dict:
 
 
 def _cmd_dominate(args) -> int:
+    if args.method == "combinator" and args.limit_n is not None:
+        raise UsageError("--limit-n is not read with --method combinator")
+    if args.method != "combinator" and args.coloring is not None:
+        raise UsageError(f"--coloring is not read with --method {args.method}")
     limit_n = args.limit_n
     if limit_n is not None and limit_n < 0:
         raise UsageError(f"--limit-n: must be >= 0, got {limit_n}")

@@ -129,9 +129,6 @@ class BoundReport:
 
 # -- sweep config -------------------------------------------------------------
 
-_DEFAULT_CHECKS = ("structure", "coloring", "accounting", "oracles")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     seed: int = 1
@@ -139,7 +136,6 @@ class SweepConfig:
     values: tuple[tuple[str, str], ...] = ()
     iota_max_n: int = IOTA_LIMIT.max_vertices
     gamma_max_n: int = GAMMA_LIMIT.max_vertices
-    checks: tuple[str, ...] = _DEFAULT_CHECKS
     timings: bool = False
     out: str | None = None
 
@@ -163,7 +159,6 @@ class SweepConfig:
             f"families = {', '.join(self.families)}",
             f"iota_max_n = {self.iota_max_n}",
             f"gamma_max_n = {self.gamma_max_n}",
-            f"checks = {', '.join(self.checks)}",
             f"timings = {'on' if self.timings else 'off'}",
         ]
         if self.out is not None:
@@ -243,16 +238,11 @@ def parse_sweep_config(text: str) -> SweepConfig:
     unknown = [f for f in fams if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families: {unknown}")
+    repeated = sorted({f for f in fams if fams.count(f) > 1})
+    if repeated:
+        raise ValueError(f"families listed twice: {repeated}")
     iota_max = take("iota_max_n", str(IOTA_LIMIT.max_vertices), _parse_count)
     gamma_max = take("gamma_max_n", str(GAMMA_LIMIT.max_vertices), _parse_count)
-    checks_raw = take("checks", "all") or "all"
-    if checks_raw.strip() == "all":
-        checks = _DEFAULT_CHECKS
-    else:
-        checks = tuple(c.strip() for c in checks_raw.split(",") if c.strip())
-        unknown_checks = [c for c in checks if c not in _DEFAULT_CHECKS]
-        if unknown_checks:
-            raise ValueError(f"unknown checks: {unknown_checks}")
     timings_raw = (take("timings", "off") or "off").lower()
     if timings_raw not in ("on", "off", "yes", "no", "true", "false"):
         raise ValueError(f"timings must be on/off, got {timings_raw!r}")
@@ -269,7 +259,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         values=tuple(pairs),
         iota_max_n=iota_max,
         gamma_max_n=gamma_max,
-        checks=checks,
         timings=timings_raw in ("on", "yes", "true"),
         out=out,
     )
@@ -287,13 +276,8 @@ class _Ctx:
     def rec(self, name, lhs, rhs, op="<=", level="bound"):
         self.records.append(BoundRecord(name, lhs, rhs, op, level))
 
-    def on(self, check: str) -> bool:
-        return check in self.cfg.checks
-
 
 def _structure_checks(ctx: _Ctx, g: PlaneGraph, cls) -> None:
-    if not ctx.on("structure"):
-        return
     if g.is_connected:
         rep = check_faces_inequality(g)
         ctx.rec("faces_inequality", rep.lhs, rep.rhs, "<=", "invariant")
@@ -331,12 +315,11 @@ def _combinator_checks(ctx: _Ctx, g: PlaneGraph, cls) -> DominationResult | None
         ctx.rec("combinator_planar_3n8", res.size, Fraction(3 * n, 8), "<")
         if cls.min_degree == 5:
             ctx.rec("combinator_min5_n3", res.size, Fraction(n, 3))
-    if ctx.on("accounting"):
-        try:
-            verify_combinator_accounting(g, c, res)  # raises on a failing row
-            ctx.rec("combinator_accounting", 0, 0, "<=", "invariant")
-        except InvariantBreach as exc:
-            ctx.errors.append(f"accounting: {exc}")
+    try:
+        verify_combinator_accounting(g, c, res)  # raises on a failing row
+        ctx.rec("combinator_accounting", 0, 0, "<=", "invariant")
+    except InvariantBreach as exc:
+        ctx.errors.append(f"accounting: {exc}")
     if cls.category is Category.PLANAR_TRIANGULATION:
         _alpha_checks(ctx, g, c, res)
     return res
@@ -360,8 +343,6 @@ def _alpha_checks(ctx: _Ctx, g: PlaneGraph, c: Coloring, res: DominationResult):
 
 
 def _oracle_checks(ctx: _Ctx, g: PlaneGraph, cls, res: DominationResult | None):
-    if not ctx.on("oracles"):
-        return None, None
     n = g.n
     iota = gamma = None
     if n <= ctx.cfg.iota_max_n:
@@ -403,8 +384,6 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None
             "invariant",
         )
         ctx.rec("deg4_seven_bound", 7 * len(v4), 6 * n - 12, "<=")
-    if not ctx.on("coloring"):
-        return
     six = rec_eulerian_six_coloring(g, extra["trace"])
     ctx.rec("six_coloring_proper", 0 if is_proper(g, six) else 1, 0, "<=", "invariant")
     # is_r_dynamic raises on an improper coloring, so the missing classes
@@ -451,16 +430,15 @@ def _deg4_triangle_violations(g: PlaneGraph, v4) -> int:
 def _three_tree_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
     if g.n < 4:  # the stacked bounds start at K4; n = 3 is the bare triangle
         return
-    if ctx.on("coloring"):
-        c = stacked_four_coloring(extra["trace"])
-        sizes = class_sizes(c)
-        # on 4+ vertices all four stacked classes are nonempty and must dominate
-        non_dominating = sum(
-            0 if s and is_dominating(g, c.class_members(i)) else 1
-            for i, s in enumerate(sizes)
-        )
-        ctx.rec("stacked_classes_dominating", non_dominating, 0, "<=", "invariant")
-        ctx.rec("stacked_min_class_n4", min(sizes), Fraction(g.n, 4))
+    c = stacked_four_coloring(extra["trace"])
+    sizes = class_sizes(c)
+    # on 4+ vertices all four stacked classes are nonempty and must dominate
+    non_dominating = sum(
+        0 if s and is_dominating(g, c.class_members(i)) else 1
+        for i, s in enumerate(sizes)
+    )
+    ctx.rec("stacked_classes_dominating", non_dominating, 0, "<=", "invariant")
+    ctx.rec("stacked_min_class_n4", min(sizes), Fraction(g.n, 4))
     if iota is not None:
         ctx.rec("three_tree_iota_n4", iota.size, Fraction(g.n, 4))
 

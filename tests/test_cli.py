@@ -100,6 +100,27 @@ def test_gen_builds_the_sweep_graph_for_every_family(monkeypatch, capsys):
     assert missing == ["min_degree5"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "k4", "--n", "9"], "--n"),
+        (["gen", "random", "--n", "9", "--t", "2"], "--t"),
+        (["gen", "three_tree", "--n", "9", "--flips", "3"], "--flips"),
+        (["gen", "all_odd", "--n", "8", "--flips", "3"], "--flips"),
+        (["dominate", "G", "--method", "iota", "--coloring", "G"], "--coloring"),
+        (["dominate", "G", "--method", "gamma", "--coloring", "G"], "--coloring"),
+        (["dominate", "G", "--limit-n", "9"], "--limit-n"),
+        (["color", "G", "--trace", "G"], "--trace"),
+    ],
+)
+def test_unread_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    g = tmp_path / "g.pgr"
+    g.write_text(to_pgr(random_triangulation(9, 1)))
+    code, out, err = run(capsys, *[str(g) if a == "G" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert f"{flag} is not read" in err
+
+
 def test_gen_trace_only_for_traced_families(tmp_path, capsys):
     code, out, err = run(capsys, "gen", "k4", "--trace", str(tmp_path / "t.json"))
     assert (code, out) == (2, "")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,8 @@ from domtri.harness import (
     run_sweep,
 )
 from domtri.plane_graph import to_pgr
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY_CONFIG = """\
 # desk-scale smoke corpus
@@ -89,7 +92,6 @@ def test_parse_config_defaults():
     cfg = parse_sweep_config("families = k4\n")
     assert cfg.seed == 1
     assert cfg.families == ("k4",)
-    assert cfg.checks == ("structure", "coloring", "accounting", "oracles")
     assert cfg.iota_max_n == 35 and cfg.gamma_max_n == 24
     assert not cfg.timings
 
@@ -111,7 +113,9 @@ def test_parse_config_rejects_bad_input():
         parse_sweep_config("seed = 1\nseed = 2\n")
     with pytest.raises(ValueError, match="unknown families"):
         parse_sweep_config("families = k4, heptagon\n")
-    with pytest.raises(ValueError, match="unknown checks"):
+    with pytest.raises(ValueError, match=r"families listed twice: \['random'\]"):
+        parse_sweep_config("families = random, k4, random\n")
+    with pytest.raises(ValueError, match="unknown key 'checks'"):
         parse_sweep_config("families = k4\nchecks = structure, vibes\n")
     with pytest.raises(ValueError, match="timings"):
         parse_sweep_config("families = k4\ntimings = maybe\n")
@@ -147,9 +151,38 @@ def test_parse_config_rejects_bad_input():
 
 
 def test_config_serialize_round_trip():
-    cfg = parse_sweep_config(TINY_CONFIG)
-    again = parse_sweep_config(cfg.serialize())
-    assert again == cfg
+    full = parse_sweep_config((ROOT / "configs" / "full.cfg").read_text())
+    # the benchmark's sweep writes full.cfg back out with these two replaced
+    full = dataclasses.replace(full, seed=5, timings=True)
+    for cfg in (parse_sweep_config(TINY_CONFIG), full):
+        again = parse_sweep_config(cfg.serialize())
+        assert again == cfg
+
+
+def test_readme_sweep_config_example_parses():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Sweep configs\n", 1)[1]
+    example = section.split("```\n", 2)[1]
+    cfg = parse_sweep_config(example)
+    assert cfg.families and cfg.out is not None
+
+
+def test_oracle_caps_switch_every_oracle_row():
+    text = (
+        "families = octahedron, three_tree, diamond, k4_chain\n"
+        "three_tree.n = 8\nthree_tree.count = 1\ndiamond.k = 2\nk4_chain.k = 2\n"
+    )
+    oracle_rows = {
+        "iota_le_combinator", "conjecture_iota_n3", "gamma_le_iota", "gamma_near_n3",
+        "conjecture_gamma_n4", "three_tree_iota_n4", "diamond_iota_2n7",
+        "k4_chain_gamma_n4",
+    }
+    for cap, expected in ((0, set()), (14, oracle_rows)):
+        caps = f"iota_max_n = {cap}\ngamma_max_n = {cap}\n"
+        reports = run_sweep(parse_sweep_config(text + caps))
+        assert len(reports) == 4 and all(rep.holds for rep in reports)
+        names = {r.name for rep in reports for r in rep.records}
+        assert {x for x in names if "iota" in x or "gamma" in x} == expected
 
 
 def test_run_sweep_deterministic(tmp_path):
@@ -206,7 +239,7 @@ def test_eulerian_checks_check_properness_a_fixed_number_of_times(monkeypatch):
     original = coloring.is_proper
     for module in (coloring, domination, harness):
         monkeypatch.setattr(module, "is_proper", counted)
-    cfg = "families = eulerian\neulerian.t = 100\neulerian.seeds = 1\nchecks = coloring\n"
+    cfg = "families = eulerian\neulerian.t = 100\neulerian.seeds = 1\n"
     (rep,) = run_sweep(parse_sweep_config(cfg))
     assert rep.n == 303 and rep.holds
     # four_coloring and class_combinator on the 4-coloring; the
