@@ -93,12 +93,12 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    seed = _env_seed(args.seed)
     fam = FAMILIES[args.family]
-    reads = (fam.size, "flips" if fam.flips else None)
-    for flag in ("n", "k", "t", "flips"):
+    reads = (fam.size, "flips" if fam.flips else None, "seed" if fam.reads_seed else None)
+    for flag in ("n", "k", "t", "flips", "seed"):
         if flag not in reads and getattr(args, flag) is not None:
             raise UsageError(f"--{flag} is not read by gen {args.family}")
+    seed = _env_seed(1 if args.seed is None else args.seed)
     params = {}
     if fam.size is not None:
         params[fam.size] = getattr(args, fam.size)
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, help="vertex count (size families)")
     g.add_argument("--k", type=int, help="block/gadget count (chain families)")
     g.add_argument("--t", type=int, help="insertion rounds (eulerian)")
-    g.add_argument("--seed", type=int, default=1)
+    g.add_argument("--seed", type=int, help="build seed (default 1)")
     g.add_argument("--flips", type=int, help="flip-walk length (random/near)")
     g.add_argument("-o", "--output", default=None, help="PGR path (default stdout)")
     g.add_argument("--trace", help="also write the build trace as JSON")

@@ -78,7 +78,8 @@ def _check_total(g: PlaneGraph, c: Coloring):
 
 def is_proper(g: PlaneGraph, c: Coloring) -> bool:
     _check_total(g, c)
-    return all(c[u] != c[v] for u, v in g.edges())
+    col = c.colors
+    return all(col[u] != col[v] for u, nbrs in enumerate(g._adj) for v in nbrs)
 
 
 def _require_proper(g: PlaneGraph, c: Coloring):

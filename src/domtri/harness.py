@@ -507,6 +507,11 @@ class Family:
     flips: bool = False  # build takes a flip-walk length (`gen --flips`)
     check: Callable[..., None] | None = None  # (ctx, g, extra, iota, gamma)
 
+    @property
+    def reads_seed(self) -> bool:
+        """False for the families that a sweep always builds with seed 0."""
+        return self.seeded or self.plan not in ("fixed", "sizes")
+
     def keys(self) -> dict[str, Callable[[str], object]]:
         """The config keys this family reads, each with its value parser."""
         return {

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Dart = tuple[int, int]
 
@@ -55,8 +55,7 @@ class GraphClass:
     all_degrees_odd: bool
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     id: int
     boundary: tuple[int, ...]  # vertex walk, one entry per dart on the face
     degree: int
@@ -83,29 +82,6 @@ def _cyclic_canon(seq: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically smallest rotation of a cyclic sequence."""
     t = tuple(seq)
     return min((t[i:] + t[:i] for i in range(len(t))), default=t)
-
-
-def _face_orbits(rotations: Sequence[Sequence[int]]) -> list[list[Dart]]:
-    """Dart orbits of a rotation system, in order of their smallest dart."""
-    index = [{u: i for i, u in enumerate(rot)} for rot in rotations]
-    darts = sorted((u, v) for u, rot in enumerate(rotations) for v in rot)
-    seen: set[Dart] = set()
-    orbits: list[list[Dart]] = []
-    for start in darts:
-        if start in seen:
-            continue
-        orbit = []
-        d = start
-        while True:
-            orbit.append(d)
-            seen.add(d)
-            u, v = d
-            rot = rotations[v]
-            d = (v, rot[(index[v][u] + 1) % len(rot)])
-            if d == start:
-                break
-        orbits.append(orbit)
-    return orbits
 
 
 def _canonical(rot: Sequence[int]) -> Sequence[int]:
@@ -177,40 +153,54 @@ class PlaneGraph:
         self._adj = tuple(adj)
         self.edge_count = sum(len(rot) for rot in adj) // 2
 
-        orbits = _face_orbits(self.rotations)
         self.component_count = _count_components(adj)
+        # Faces are the orbits of the dart successor (u, v) -> (v, succ_v(u)).
+        # Starting an orbit at each unlabelled dart in sorted order numbers
+        # faces by their smallest dart; the labels double as the seen set.
+        succ = [dict(zip(r, r[1:] + r[:1])) for r in self.rotations]
+        dart_face: list[dict[int, int]] = [{} for _ in range(n)]
+        faces = []
+        for s, rot in enumerate(self.rotations):
+            for t in sorted(rot):
+                if t in dart_face[s]:
+                    continue
+                fid = len(faces)
+                walk = []
+                u, v = s, t
+                while v not in dart_face[u]:
+                    walk.append(u)
+                    dart_face[u][v] = fid
+                    u, v = v, succ[v][u]
+                faces.append(Face(fid, tuple(walk), len(walk)))
         isolated = sum(1 for rot in self.rotations if not rot)
         # One face per single-vertex component is implicit (no darts).
-        euler = self.n - self.edge_count + len(orbits) + isolated
+        euler = self.n - self.edge_count + len(faces) + isolated
         if euler != 2 * self.component_count:
             raise EmbeddingError(
                 "rotation system is not planar: V-E+F = "
-                f"{self.n}-{self.edge_count}+{len(orbits)} with "
+                f"{self.n}-{self.edge_count}+{len(faces)} with "
                 f"{self.component_count} component(s)"
             )
-
-        faces = []
-        dart_face: dict[Dart, int] = {}
         # A map without darts still has its one (empty-walk) face.
-        for i, orbit in enumerate(orbits or [[]]):
-            walk = tuple(u for u, _ in orbit)
-            faces.append(Face(id=i, boundary=walk, degree=len(walk)))
-            for d in orbit:
-                dart_face[d] = i
-        self.faces: tuple[Face, ...] = tuple(faces)
+        self.faces: tuple[Face, ...] = tuple(faces) or (Face(0, (), 0),)
         self._dart_face = dart_face
         self.outer_face_id = self._resolve_outer(outer_dart)
 
     def _resolve_outer(self, outer_dart) -> int:
         if outer_dart is not None:
-            if outer_dart not in self._dart_face:
+            fid = self._face_id(*outer_dart) if len(outer_dart) == 2 else None
+            if fid is None:
                 raise EmbeddingError(f"dart {outer_dart} not present")
-            return self._dart_face[outer_dart]
+            return fid
         # No hint: the unique face of maximum degree, with a deterministic
         # tie-break so triangulations built from raw rotations still load.
         best = max(f.degree for f in self.faces)
         cands = [f for f in self.faces if f.degree == best]
         return min(cands, key=lambda f: _cyclic_canon(f.boundary)).id
+
+    def _face_id(self, u: int, v: int) -> int | None:
+        """The face of dart (u, v), or None when the graph has no such dart."""
+        return self._dart_face[u].get(v) if 0 <= u < self.n else None
 
     # -- accessors ---------------------------------------------------------
 
@@ -243,9 +233,10 @@ class PlaneGraph:
         return v in self._adj[u]
 
     def face_of_dart(self, u: int, v: int) -> int:
-        if (u, v) not in self._dart_face:
+        fid = self._face_id(u, v)
+        if fid is None:
             raise ValueError(f"no dart ({u}, {v}) in this graph")
-        return self._dart_face[(u, v)]
+        return fid
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self._adj)
@@ -303,7 +294,8 @@ def classify(g: PlaneGraph) -> GraphClass:
     two_conn = (
         g.n >= 3
         and g.is_connected
-        and all(len(set(f.boundary)) == f.degree for f in g.faces)
+        # A face walk of length <= 3 in a simple graph repeats no vertex.
+        and all(f.degree <= 3 or len(set(f.boundary)) == f.degree for f in g.faces)
     )
     all_even = all(d % 2 == 0 for d in degs)
     all_odd = all(d % 2 == 1 for d in degs)
@@ -354,7 +346,7 @@ def delete_vertices(
         for v in g.faces[fid].boundary:
             if v in s:
                 for u in g.rotations[v]:
-                    f = g._dart_face[(v, u)]
+                    f = g._face_id(v, u)
                     if f not in seen:
                         seen.add(f)
                         region.append(f)
@@ -403,7 +395,7 @@ def neighborhood_structure(g: PlaneGraph, v: int) -> NeighborhoodStructure:
     """
     nbrs = g.rotation(v)
     d = len(nbrs)
-    gaps = [i for i in range(d) if not g.has_edge(nbrs[i], nbrs[(i + 1) % d])]
+    gaps = [i for i in range(d) if nbrs[(i + 1) % d] not in g._adj[nbrs[i]]]
     if not gaps and d >= 3:
         return NeighborhoodStructure("cycle", tuple(nbrs))
     if v not in g.outer_face.boundary or g.outer_face.degree == 3:

@@ -47,6 +47,27 @@ def test_gen_seed_env_override(tmp_path, monkeypatch, capsys):
     assert "DOMTRI_SEED must be an integer" in err
 
 
+def test_gen_seed_only_for_seeded_families(monkeypatch, capsys):
+    seedless = [f for f in FAMILIES if not FAMILIES[f].reads_seed]
+    assert seedless == ["k4", "octahedron", "icosahedron", "diamond", "k4_chain"]
+    for family in seedless:
+        fam = FAMILIES[family]
+        params = {fam.size: 3} if fam.size else {}
+        flags = [arg for k, v in params.items() for arg in (f"--{k}", str(v))]
+        monkeypatch.delenv("DOMTRI_SEED", raising=False)
+        code, out, err = run(capsys, "gen", family, *flags, "--seed", "5")
+        assert (code, out) == (2, ""), family
+        assert f"--seed is not read by gen {family}" in err
+        # the environment seed is no flag, so it is not refused
+        monkeypatch.setenv("DOMTRI_SEED", "5")
+        code, out, _ = run(capsys, "gen", family, *flags)
+        assert (code, out) == (0, to_pgr(fam.build(0, **params)[0])), family
+    # without --seed or DOMTRI_SEED a seeded family builds seed 1
+    monkeypatch.delenv("DOMTRI_SEED")
+    code, out, _ = run(capsys, "gen", "random", "--n", "12")
+    assert (code, out) == (0, to_pgr(random_triangulation(12, 1)))
+
+
 def test_gen_missing_size_argument(capsys):
     code, out, err = run(capsys, "gen", "random")
     assert (code, out) == (2, "")
@@ -89,7 +110,11 @@ def test_gen_builds_the_sweep_graph_for_every_family(monkeypatch, capsys):
     for fam_idx, family in enumerate(cfg.families):
         _, seed, params = next(harness._plan_family(cfg, fam_idx, family))
         flags = [arg for k, v in params.items() for arg in (f"--{k}", str(v))]
-        code, out, err = run(capsys, "gen", family, *flags, "--seed", str(seed))
+        if FAMILIES[family].reads_seed:
+            flags += ["--seed", str(seed)]
+        else:
+            assert seed == 0, family
+        code, out, err = run(capsys, "gen", family, *flags)
         g = FAMILIES[family].build(seed, **params)[0]
         if g is None:
             missing.append(family)
@@ -152,6 +177,11 @@ def test_verify_rejects_garbage(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(p))
     assert code == 1
     assert out.startswith("invalid:")
+    # outer walks that name no dart: out of range, negative, a lone vertex
+    for outer, dart in (("9 1 2", "(9, 1)"), ("-1 1 2", "(-1, 1)"), ("0", "(0,)")):
+        p.write_text(to_pgr(k4_chain(2)[0]).replace("0 1 2", outer, 1))
+        code, out, _ = run(capsys, "verify", str(p))
+        assert (code, out) == (1, f"invalid: dart {dart} not present\n"), outer
 
 
 def test_verify_edgeless_graph(tmp_path, capsys):

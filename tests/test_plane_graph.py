@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from domtri.generators import (
     diamond_chain,
+    diamond_chain_witness,
     icosahedron,
     k4,
     k4_chain,
@@ -188,8 +189,10 @@ def test_accessors_validate_vertex_ids():
     g = k4()
     with pytest.raises(ValueError):
         g.degree(9)
-    with pytest.raises(ValueError):
-        g.face_of_dart(0, 0)
+    # (-1, 0) must not read vertex 3's darts through a negative index
+    for u, v in ((0, 0), (-1, 0), (-4, 1), (4, 0), (9, 1), (0, 9), (0, -1)):
+        with pytest.raises(ValueError, match="no dart"):
+            g.face_of_dart(u, v)
 
 
 def test_delete_vertex_from_octahedron_leaves_square_hole():
@@ -423,6 +426,11 @@ def test_pgr_rejects_malformed_documents():
         parse_pgr("pgr 1 3 0 1 2\n0: 1 2\n1: 0 2\n")
     with pytest.raises(EmbeddingError, match="duplicate"):
         parse_pgr("pgr 1 3 0 1 2\n0: 1 2\n0: 1 2\n2: 0 1\n")
+    # outer walks that name no dart: out of range, negative, a lone vertex
+    text = to_pgr(k4())
+    for outer in ("9 1 2", "-1 1 2", "0"):
+        with pytest.raises(EmbeddingError, match="not present"):
+            parse_pgr(text.replace("pgr 1 4 0 1 2", f"pgr 1 4 {outer}", 1))
 
 
 def test_graph_equality_and_hash():
@@ -449,3 +457,99 @@ def test_random_triangulation_counts(n, seed):
 def test_pgr_round_trip_random(n, seed):
     g = random_triangulation(n, seed)
     assert parse_pgr(to_pgr(g)) == g
+
+
+# -- face tracing against a reference ----------------------------------------
+
+
+def reference_face_orbits(rotations):
+    """Dart orbits in order of their smallest dart: sort every dart, then
+    walk the orbit of each one not yet seen."""
+    index = [{u: i for i, u in enumerate(rot)} for rot in rotations]
+    darts = sorted((u, v) for u, rot in enumerate(rotations) for v in rot)
+    seen = set()
+    orbits = []
+    for start in darts:
+        if start in seen:
+            continue
+        orbit = []
+        d = start
+        while True:
+            orbit.append(d)
+            seen.add(d)
+            u, v = d
+            rot = rotations[v]
+            d = (v, rot[(index[v][u] + 1) % len(rot)])
+            if d == start:
+                break
+        orbits.append(orbit)
+    return orbits
+
+
+def assert_faces_match_reference(g):
+    orbits = reference_face_orbits(g.rotations)
+    walks = [tuple(u for u, _ in orbit) for orbit in orbits] or [()]
+    assert [(f.id, f.boundary, f.degree) for f in g.faces] == [
+        (i, w, len(w)) for i, w in enumerate(walks)
+    ]
+    for i, orbit in enumerate(orbits):
+        for u, v in orbit:
+            assert g.face_of_dart(u, v) == i
+    # with the outer walk's first dart as the hint, as parse_pgr gives it
+    assert parse_pgr(to_pgr(g)).outer_face_id == g.outer_face_id
+    # without a hint: the largest face, ties to the smallest cyclic walk
+    best = max(len(w) for w in walks)
+    outer = min((w[i:] + w[:i], fid) for fid, w in enumerate(walks)
+                if len(w) == best for i in range(max(best, 1)))[1]
+    assert PlaneGraph(g.rotations).outer_face_id == outer
+
+
+def tracing_grid():
+    """One graph per generator family at n of about 10..200, deletions of
+    some of them, and connected plane graphs with cut vertices."""
+    tri = random_triangulation(60, 3)
+    chain = diamond_chain(30)
+    grid = [
+        k4(), octahedron(), icosahedron(), hex_disk(),
+        PlaneGraph(FOUR_CYCLE_ROT), PlaneGraph([[1], [0]]), PlaneGraph([[]]),
+        random_triangulation(10, 1), tri, random_triangulation(200, 5),
+        planar_three_tree(120, 1)[0], recursive_eulerian(4, 1)[0],
+        recursive_eulerian(66, 2)[0], chain, k4_chain(10)[0], k4_chain(50)[0],
+        near_triangulation_from(tri, 7)[0], near_triangulation_from(chain, 0)[0],
+        delete_vertices(tri, [0, 5, 9])[0], delete_vertices(chain, range(0, 60, 2))[0],
+        delete_vertices(icosahedron(), [0, 1])[0],
+    ]
+    grid += [random_connected_plane(n, s) for n, s in ((12, 1), (30, 2), (80, 3), (150, 4))]
+    return grid
+
+
+def test_face_tracing_matches_reference():
+    grid = tracing_grid()
+    # the grid reaches faces whose walk repeats a vertex (cut vertices)
+    assert any(len(set(f.boundary)) < f.degree for g in grid for f in g.faces)
+    assert any(not g.is_connected for g in grid)
+    for g in grid:
+        assert_faces_match_reference(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=5, max_value=40), seed=st.integers(0, 2**32 - 1))
+def test_face_tracing_matches_reference_random(n, seed):
+    assert_faces_match_reference(random_connected_plane(n, seed))
+    tri = random_triangulation(n, seed)
+    assert_faces_match_reference(near_triangulation_from(tri, seed % n)[0])
+
+
+def test_large_parse_and_delete_are_pinned_and_fast():
+    # n = 1001; both steps take about 20 ms on a 2-vCPU Xeon
+    text = to_pgr(diamond_chain(143))
+    t0 = time.perf_counter()
+    g = parse_pgr(text)
+    parse_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    h, _ = delete_vertices(g, diamond_chain_witness(143))
+    delete_s = time.perf_counter() - t0
+    assert hashlib.sha256(to_pgr(h).encode()).hexdigest() == (
+        "2c0124e99c4533095cd161b5b933485cc34772ad17da870cc739399e44d67e17"
+    )
+    assert parse_s < 0.25 and delete_s < 0.25, (parse_s, delete_s)
