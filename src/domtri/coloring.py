@@ -62,6 +62,9 @@ class Coloring:
         if sorted(pairs) != list(range(len(pairs))):
             raise ValueError("coloring must cover vertices 0..n-1")
         colors = tuple(pairs[v] for v in range(len(pairs)))
+        # n vertices fill at most n classes; a larger index only inflates k
+        if colors and max(colors) >= len(colors):
+            raise ValueError(f"class index {max(colors)} is not below the vertex count")
         if k is None:
             k = max(colors, default=-1) + 1
         return Coloring(k, colors)

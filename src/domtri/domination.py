@@ -317,11 +317,13 @@ class BoundRecord:
     lhs: Fraction
     rhs: Fraction
     op: str = "<="
-    level: str = "bound"  # bound | invariant | conjecture | finding
+    level: str = "bound"
 
     def __post_init__(self):
         if self.op not in ("<=", "<", "=="):
             raise ValueError(f"unknown comparison {self.op!r}")
+        if self.level not in ("bound", "invariant", "conjecture", "finding"):
+            raise ValueError(f"unknown level {self.level!r}")
         object.__setattr__(self, "lhs", Fraction(self.lhs))
         object.__setattr__(self, "rhs", Fraction(self.rhs))
 

@@ -185,22 +185,18 @@ def _grow(kind, steps, seed, eligible=None):
     # Inner faces as walks from their smallest vertex; sorted, they come
     # in the smallest-dart order in which PlaneGraph traces faces.  `pool`
     # keeps the drawable ones sorted; the base face is always drawable.
-    faces = {_TRIANGLE_INNER}
     pool = [_TRIANGLE_INNER]
     trace = []
     for _ in range(steps):
         walk = pool.pop(rng.randrange(len(pool)))
         new = tuple(range(len(rot), len(rot) + count))
         insert(rot, walk, *new)
-        faces.remove(walk)
-        added = _faces_at(rot, new)
-        faces |= added
         trace.append(TraceStep(kind, walk, new))
         if not eligible:
-            for f in added:
+            for f in _faces_at(rot, new):
                 bisect.insort(pool, f)
         else:  # only the corners and the new vertices changed degree
-            for f in _faces_at(rot, walk + new) & faces:
+            for f in _faces_at(rot, walk + new) - {(0, 1, 2)}:  # the outer walk, never drawn
                 i = bisect.bisect_left(pool, f)
                 drawable = pool[i : i + 1] == [f]
                 if drawable and not eligible(rot, f):
@@ -430,42 +426,36 @@ def _fenwick_find(tree, k):
     return i, k
 
 
-def _joined(adj: list[set[int]], u: int, v: int) -> bool:
-    """Whether a search from u reaches v; it stops as soon as it does."""
-    seen = {u}
-    stack = [u]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w == v:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
 def random_connected_plane(n: int, seed: int) -> PlaneGraph:
     """Random connected plane graph: a random triangulation thinned by a
-    seeded pass of edge deletions that keep the graph connected."""
+    seeded pass of edge deletions that keep the graph connected.  An edge
+    is a bridge iff one face lies on both its sides, and deleting any other
+    merges its two faces, so a union-find over the faces decides each one."""
     g = random_triangulation(n, split_seed(seed, 4))
     rng = random.Random(split_seed(seed, 5))
-    adj = [set(g.rotation(v)) for v in g.vertices()]
     edges = list(g.edges())
     rng.shuffle(edges)
     drop_target = rng.randrange(0, len(edges) - (n - 1) + 1)
-    dropped = 0
+    root = list(range(len(g.faces)))
+    dropped = set()
     for u, v in edges:
-        if dropped == drop_target:
+        if len(dropped) == 2 * drop_target:
             break
-        adj[u].remove(v)
-        adj[v].remove(u)
-        # the graph was connected with uv, so it stays so iff u reaches v
-        if adj[u] & adj[v] or _joined(adj, u, v):
-            dropped += 1
-        else:
-            adj[u].add(v)
-            adj[v].add(u)
-    return PlaneGraph([[u for u in g.rotation(v) if u in adj[v]] for v in g.vertices()])
+        a = _find(root, g.face_of_dart(u, v))
+        b = _find(root, g.face_of_dart(v, u))
+        if a != b:
+            root[a] = b
+            dropped |= {(u, v), (v, u)}
+    return PlaneGraph(
+        [[u for u in g.rotation(v) if (v, u) not in dropped] for v in g.vertices()]
+    )
+
+
+def _find(root, x):
+    """The root of x in a union-find forest, halving the path to it."""
+    while root[x] != x:
+        root[x] = x = root[root[x]]
+    return x
 
 
 def near_triangulation_from(g: PlaneGraph, v: int) -> tuple[PlaneGraph, dict[int, int]]:

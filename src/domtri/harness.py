@@ -9,6 +9,7 @@ out of the files unless explicitly enabled).
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
@@ -72,6 +73,13 @@ def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _parse_frac(text) -> Fraction:
+    """The inverse of _frac_str; Fraction() alone also takes 1e4000000, slowly."""
+    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"number {text!r} is not of the form p or p/q")
+    return Fraction(text)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     graph_id: str
@@ -114,7 +122,9 @@ class BoundReport:
     def from_json(line: str) -> "BoundReport":
         doc = json.loads(line)
         records = tuple(
-            BoundRecord(r["name"], r["lhs"], r["rhs"], r["op"], r["level"])
+            BoundRecord(
+                r["name"], _parse_frac(r["lhs"]), _parse_frac(r["rhs"]), r["op"], r["level"]
+            )
             for r in doc["records"]
         )
         # a field with a default may be absent; any other must be present

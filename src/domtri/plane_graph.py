@@ -192,11 +192,9 @@ class PlaneGraph:
             if fid is None:
                 raise EmbeddingError(f"dart {outer_dart} not present")
             return fid
-        # No hint: the unique face of maximum degree, with a deterministic
-        # tie-break so triangulations built from raw rotations still load.
-        best = max(f.degree for f in self.faces)
-        cands = [f for f in self.faces if f.degree == best]
-        return min(cands, key=lambda f: _cyclic_canon(f.boundary)).id
+        # No hint: the first largest face.  Walks start at their smallest dart
+        # and ids follow it, so its walk is the smallest among the largest.
+        return max(self.faces, key=lambda f: f.degree).id
 
     def _face_id(self, u: int, v: int) -> int | None:
         """The face of dart (u, v), or None when the graph has no such dart."""
@@ -258,15 +256,11 @@ class PlaneGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlaneGraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.rotations == other.rotations
-            and _cyclic_canon(self.outer_face.boundary)
-            == _cyclic_canon(other.outer_face.boundary)
-        )
+        # Equal rotations trace the same faces under the same ids.
+        return (self.rotations, self.outer_face_id) == (other.rotations, other.outer_face_id)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rotations, _cyclic_canon(self.outer_face.boundary)))
+        return hash((self.rotations, self.outer_face_id))
 
     def __repr__(self) -> str:
         return f"PlaneGraph(n={self.n}, m={self.edge_count}, outer={self.outer_face.boundary})"
@@ -473,8 +467,7 @@ def _insert_span(rot: list[list[int]], v: int, after: int, new: list[int]) -> No
 
 
 def to_pgr(g: PlaneGraph) -> str:
-    outer = _cyclic_canon(g.outer_face.boundary)
-    lines = ["pgr 1 {} {}".format(g.n, " ".join(map(str, outer)))]
+    lines = ["pgr 1 {} {}".format(g.n, " ".join(map(str, g.outer_face.boundary)))]
     for v in range(g.n):
         lines.append("{}: {}".format(v, " ".join(map(str, g.rotations[v]))))
     return "\n".join(lines) + "\n"
@@ -518,7 +511,7 @@ def parse_pgr(text: str) -> PlaneGraph:
     if not outer:
         return PlaneGraph(rotations)
     g = PlaneGraph(rotations, outer_dart=tuple(outer[:2]))
-    if _cyclic_canon(g.outer_face.boundary) != _cyclic_canon(outer):
+    if g.outer_face.boundary != _cyclic_canon(outer):
         raise EmbeddingError(
             f"outer walk {tuple(outer)} is not the face of its first dart"
         )

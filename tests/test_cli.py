@@ -199,9 +199,9 @@ def test_unreadable_input_file_is_usage_error(tmp_path, capsys, command):
     assert "No such file or directory" in err and "nope" in err
 
 
-def _report_line(lhs: str) -> str:
-    """A report line whose one record has the raw JSON `lhs`."""
-    record = f'{{"name": "a", "lhs": {lhs}, "rhs": "1", "op": "<=", "level": "bound"}}'
+def _report_line(lhs: str, level: str = "bound") -> str:
+    """A report line whose one record has the raw JSON `lhs` and `level`."""
+    record = f'{{"name": "a", "lhs": {lhs}, "rhs": "1", "op": "<=", "level": "{level}"}}'
     return f'{{"graph_id": "g", "records": [{record}]}}\n'
 
 
@@ -222,7 +222,9 @@ def _report_line(lhs: str) -> str:
         ("audit", "not json\n", "Expecting value"),
         ("audit", '{"graph_id": "g"}\n', "missing field 'records'"),
         ("audit", _report_line('"1/0"'), "Fraction(1, 0)"),
-        ("audit", _report_line("Infinity"), "cannot convert Infinity"),
+        ("audit", _report_line("Infinity"), "number inf is not of the form p or p/q"),
+        ("audit", _report_line('"1e4000000"'), "'1e4000000' is not of the form p or p/q"),
+        ("audit", _report_line('"1"', level="bogus"), "unknown level 'bogus'"),
     ],
     ids=[
         "coloring-token",
@@ -235,6 +237,8 @@ def _report_line(lhs: str) -> str:
         "report-no-records",
         "report-zero-denominator",
         "report-infinite-lhs",
+        "report-exponent-lhs",
+        "report-unknown-level",
     ],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, message):
@@ -252,6 +256,23 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, me
     assert (code, out) == (2, "")
     assert message in err and str(f) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("index", [3_000_000, 300_000_000_000])
+def test_sparse_coloring_file_is_rejected_at_once(tmp_path, capsys, index):
+    # Such an index used to set k, and the combinator looped over every
+    # class: 18 s for 3,000,000, exit 0.
+    g = tmp_path / "k4.pgr"
+    main(["gen", "k4", "-o", str(g)])
+    f = tmp_path / "sparse.col"
+    f.write_text(f"0 0\n1 1\n2 2\n3 {index}\n")
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "dominate", str(g), "--coloring", str(f))
+    assert time.perf_counter() - t0 < 0.5
+    assert (code, out) == (2, "")
+    assert f"class index {index} is not below the vertex count" in err
+    assert str(f) in err
 
 
 def test_color_with_checks(tmp_path, capsys):

@@ -62,6 +62,15 @@ def test_text_rejects_gaps_and_repeats():
         Coloring.from_text("0 0\n2 1\n")
 
 
+def test_text_rejects_class_beyond_vertex_count():
+    # n vertices fill at most n classes; the index would otherwise set k
+    with pytest.raises(ValueError, match="class index 3000000 is not below"):
+        Coloring.from_text("0 0\n1 1\n2 2\n3 3000000\n")
+    with pytest.raises(ValueError, match="class index 4 is not below"):
+        Coloring.from_text("0 0\n1 4\n2 2\n3 3\n", k=5)
+    assert Coloring.from_text("0 3\n1 1\n2 2\n3 0\n").k == 4
+
+
 def test_class_sizes():
     assert class_sizes(RAINBOW_K4) == (1, 1, 1, 1)
     assert class_sizes(Coloring(4, (0, 0, 2, 0))) == (3, 0, 1, 0)

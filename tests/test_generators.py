@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -236,7 +237,7 @@ def test_generator_steps_are_local():
 
 def test_connected_plane_is_pinned():
     # Digest taken when every candidate deletion counted the components of
-    # the whole graph; the local joined-ends test must keep each decision.
+    # the whole graph; the face-merging bridge test must keep each decision.
     digest = hashlib.sha256()
     for n in (100, 400):
         for s in (1, 2, 3):
@@ -247,9 +248,10 @@ def test_connected_plane_is_pinned():
 
 
 def test_connected_plane_deletions_are_local():
-    # A deletion searches only until the edge's ends meet again; with a
-    # whole-graph component count per candidate this took 1.7-2.5 s on a
-    # 2-vCPU box, and about 0.35 s without.
+    # A deletion is two union-find lookups on the faces beside the edge.
+    # With a whole-graph component count per candidate this took 1.7-2.5 s
+    # on a 2-vCPU box, with a search between the edge's ends about 0.35 s,
+    # and with face merging about 0.3 s, mostly the triangulation itself.
     t0 = time.perf_counter()
     random_connected_plane(2000, 1)
     elapsed = time.perf_counter() - t0
@@ -288,6 +290,51 @@ def test_random_connected_plane_stays_connected(n, seed):
     assert g.n == n
     assert g.is_connected
     assert classify(g).category is not Category.INVALID
+
+
+def _joined(adj, u, v):
+    """Whether a search from u reaches v; it stops as soon as it does."""
+    seen = {u}
+    stack = [u]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def reference_connected_plane(n, seed):
+    """The same thinning decided by search: a candidate edge is dropped
+    when its ends stay joined without it."""
+    g = random_triangulation(n, split_seed(seed, 4))
+    rng = random.Random(split_seed(seed, 5))
+    adj = [set(g.rotation(v)) for v in g.vertices()]
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    drop_target = rng.randrange(0, len(edges) - (n - 1) + 1)
+    dropped = 0
+    for u, v in edges:
+        if dropped == drop_target:
+            break
+        adj[u].remove(v)
+        adj[v].remove(u)
+        if _joined(adj, u, v):
+            dropped += 1
+        else:
+            adj[u].add(v)
+            adj[v].add(u)
+    return PlaneGraph([[u for u in g.rotation(v) if u in adj[v]] for v in g.vertices()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=3, max_value=80), seed=st.integers(0, 2**32 - 1))
+def test_connected_plane_face_merging_matches_search(n, seed):
+    assert to_pgr(random_connected_plane(n, seed)) == to_pgr(
+        reference_connected_plane(n, seed)
+    )
 
 
 def test_near_triangulation_from_octahedron():

@@ -62,6 +62,8 @@ def test_bound_record_ops():
     assert BoundRecord("a", Fraction(2, 3), Fraction(2, 3), op="==").holds
     with pytest.raises(ValueError, match="comparison"):
         BoundRecord("a", Fraction(1), Fraction(1), op=">=")
+    with pytest.raises(ValueError, match="unknown level 'bounds'"):
+        BoundRecord("a", Fraction(1), Fraction(1), level="bounds")
 
 
 def test_report_holds_ignores_conjecture_rows():
@@ -86,6 +88,16 @@ def test_report_json_round_trip():
     assert back.records[0].rhs == Fraction(25, 2)
     with_times = BoundReport.from_json(rep.to_json(include_timings=True))
     assert with_times.runtime_ms == 3.25
+
+
+def test_report_numbers_take_only_the_written_forms():
+    line = _report([BoundRecord("a", Fraction(-3, 4), Fraction(2))]).to_json()
+    assert '"lhs": "-3/4"' in line
+    assert BoundReport.from_json(line).records[0].lhs == Fraction(-3, 4)
+    # forms Fraction() would take, one of them costly, and non-strings
+    for bad in ('"1e4000000"', '"1.5"', '" 1"', '"+1"', '"1/-2"', '"1_0"', "2", "null"):
+        with pytest.raises(ValueError, match="is not of the form p or p/q"):
+            BoundReport.from_json(line.replace('"-3/4"', bad))
 
 
 def test_parse_config_defaults():

@@ -438,6 +438,17 @@ def test_graph_equality_and_hash():
     b = PlaneGraph([list(r) for r in K4_ROT], outer_dart=(1, 2))
     assert a == b
     assert hash(a) == hash(b)
+    # rotation lists that start from another neighbour
+    turned = PlaneGraph([r[1:] + r[:1] for r in K4_ROT], outer_dart=(2, 0))
+    assert turned == a
+    assert hash(turned) == hash(a)
+    # no dart, next to a dart that is not the first of the same face
+    for g in (hex_disk(), random_triangulation(30, 2)):
+        plain = PlaneGraph(g.rotations)
+        walk = plain.outer_face.boundary
+        darted = PlaneGraph(g.rotations, outer_dart=(walk[1], walk[2]))
+        assert plain == darted
+        assert hash(plain) == hash(darted)
     other_face = next(f for f in a.faces if f.id != a.outer_face_id)
     c = PlaneGraph(K4_ROT, outer_dart=other_face.boundary[:2])
     assert a != c
@@ -489,6 +500,10 @@ def reference_face_orbits(rotations):
 def assert_faces_match_reference(g):
     orbits = reference_face_orbits(g.rotations)
     walks = [tuple(u for u, _ in orbit) for orbit in orbits] or [()]
+    # each walk starts at its smallest dart, so it is its own smallest rotation
+    for f in g.faces:
+        w = f.boundary
+        assert w == min((w[i:] + w[:i] for i in range(len(w))), default=w)
     assert [(f.id, f.boundary, f.degree) for f in g.faces] == [
         (i, w, len(w)) for i, w in enumerate(walks)
     ]
