@@ -49,9 +49,11 @@ class Coloring:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text: str, k: int | None = None) -> "Coloring":
-        pairs = {}
+    def from_text(text: str) -> "Coloring":
+        pairs, k = {}, None
         for raw in text.splitlines():
+            if raw.startswith("# coloring k="):  # else k is the largest class + 1
+                k = int(raw.removeprefix("# coloring k="))
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -62,25 +64,22 @@ class Coloring:
         if sorted(pairs) != list(range(len(pairs))):
             raise ValueError("coloring must cover vertices 0..n-1")
         colors = tuple(pairs[v] for v in range(len(pairs)))
+        top = max(colors, default=-1)
         # n vertices fill at most n classes; a larger index only inflates k
-        if colors and max(colors) >= len(colors):
-            raise ValueError(f"class index {max(colors)} is not below the vertex count")
-        if k is None:
-            k = max(colors, default=-1) + 1
-        return Coloring(k, colors)
+        if top >= len(colors):
+            raise ValueError(f"class index {top} is not below the vertex count")
+        if k is not None and not top < k <= max(len(colors), 6):  # `color` writes k <= 6
+            raise ValueError(f"header k={k} is outside {top + 1}..{max(len(colors), 6)}")
+        return Coloring(top + 1 if k is None else k, colors)
 
 
 def class_sizes(c: Coloring) -> tuple[int, ...]:
     return tuple(c.colors.count(i) for i in range(c.k))
 
 
-def _check_total(g: PlaneGraph, c: Coloring):
+def is_proper(g: PlaneGraph, c: Coloring) -> bool:
     if c.n != g.n:
         raise ValueError(f"coloring covers {c.n} vertices, graph has {g.n}")
-
-
-def is_proper(g: PlaneGraph, c: Coloring) -> bool:
-    _check_total(g, c)
     col = c.colors
     return all(col[u] != col[v] for u, nbrs in enumerate(g._adj) for v in nbrs)
 

@@ -58,7 +58,6 @@ class DominationResult:
     size: int
     method: str  # combinator | exact_iota | exact_gamma | greedy
     witness_class: int | None = None
-    per_class: tuple[int, ...] | None = None
     union_s: frozenset[int] | None = None  # the combinator's S1 u .. u Sk
     used_fallback: bool = False
     undominated: tuple[frozenset[int], ...] | None = None  # the combinator's U_i
@@ -123,10 +122,7 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
     if any(not m for m in members) and all(
         _in_triangle(g, v) for v in g.vertices()
     ):
-        nonempty = [(len(m), i) for i, m in enumerate(members) if m]
-        if not nonempty:
-            raise ValueError("empty graph has no dominating class")
-        _, i = min(nonempty)
+        _, i = min((len(m), i) for i, m in enumerate(members) if m)
         chosen = members[i]
         if u_sets[i]:  # a class of a proper coloring is independent
             raise InvariantBreach(
@@ -177,7 +173,6 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
         size=sizes[best],
         method="combinator",
         witness_class=best,
-        per_class=sizes,
         union_s=frozenset().union(*s_sets),
         undominated=u_sets,
     )
@@ -410,7 +405,7 @@ def verify_combinator_accounting(
                 "combined_size", result.size, Fraction(n, 3) + Fraction(f4 + o - 2, 12)
             )
         )
-    if result.used_fallback:
+    else:
         # a nonempty class dominates iff its U_i is empty
         bad = sum(
             1 for i, u in enumerate(result.undominated) if u and c.class_members(i)

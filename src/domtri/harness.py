@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 import time
+from collections import defaultdict
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -69,15 +70,24 @@ from .plane_graph import (
 
 # -- report records -----------------------------------------------------------
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _parse_frac(text) -> Fraction:
-    """The inverse of _frac_str; Fraction() alone also takes 1e4000000, slowly."""
+    """The inverse of str(Fraction); Fraction() alone also takes 1e4000000, slowly."""
     if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
         raise ValueError(f"number {text!r} is not of the form p or p/q")
     return Fraction(text)
+
+
+def _typed(name: str, value, *types):
+    if type(value) not in types:  # exactly: a JSON true is not an int
+        raise ValueError(f"{name} {value!r} is not {'/'.join(t.__name__ for t in types)}")
+    return value
+
+
+# the JSON types each BoundReport annotation admits
+_JSON_TYPES = {
+    "str": (str,), "int": (int,), "bool": (bool,), "float | None": (int, float, type(None)),
+    "tuple[str, ...]": (list,), "tuple[BoundRecord, ...]": (list,),
+}
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,8 @@ class BoundReport:
         doc["records"] = [
             {
                 "name": r.name,
-                "lhs": _frac_str(r.lhs),
-                "rhs": _frac_str(r.rhs),
+                "lhs": str(r.lhs),
+                "rhs": str(r.rhs),
                 "op": r.op,
                 "level": r.level,
                 "holds": r.holds,
@@ -123,17 +133,19 @@ class BoundReport:
         doc = json.loads(line)
         records = tuple(
             BoundRecord(
-                r["name"], _parse_frac(r["lhs"]), _parse_frac(r["rhs"]), r["op"], r["level"]
+                _typed("name", r["name"], str), _parse_frac(r["lhs"]), _parse_frac(r["rhs"]),
+                r["op"], r["level"],
             )
             for r in doc["records"]
         )
         # a field with a default may be absent; any other must be present
         kw = {
-            f.name: doc[f.name]
+            f.name: _typed(f.name, doc[f.name], *_JSON_TYPES[f.type])
             for f in fields(BoundReport)
             if f.name in doc or f.default is MISSING
         }
-        kw.update(records=records, errors=tuple(kw.get("errors", ())))
+        errors = tuple(_typed("error", e, str) for e in kw.get("errors", ()))
+        kw.update(records=records, errors=errors)
         return BoundReport(**kw)
 
 
@@ -150,10 +162,7 @@ class SweepConfig:
     out: str | None = None
 
     def get(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.values:
-            if k == key:
-                return v
-        return default
+        return dict(self.values).get(key, default)
 
     def get_int(self, key: str, default: int) -> int:
         raw = self.get(key)
@@ -222,7 +231,7 @@ def _parse_pairs(raw: str) -> tuple[tuple[int, int], ...]:
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
-    pairs: list[tuple[str, str]] = []
+    values: dict[str, str] = {}  # in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -230,21 +239,16 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
-        if any(k == key for k, _ in pairs):
+        if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        pairs.append((key, value))
+        values[key] = value
 
     def take(key: str, default: str | None, parse=None):
-        nonlocal pairs
-        hit = [v for k, v in pairs if k == key]
-        pairs = [(k, v) for k, v in pairs if k != key]
-        raw = hit[0] if hit else default
+        raw = values.pop(key, default)
         return raw if parse is None else _parse_key(key, parse, raw)
 
     seed = take("seed", "1", int)
-    fams = tuple(
-        f.strip() for f in (take("families", "") or "").split(",") if f.strip()
-    )
+    fams = tuple(f.strip() for f in take("families", "").split(",") if f.strip())
     unknown = [f for f in fams if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families: {unknown}")
@@ -257,7 +261,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     if timings_raw not in ("on", "off", "yes", "no", "true", "false"):
         raise ValueError(f"timings must be on/off, got {timings_raw!r}")
     out = take("out", None)
-    for key, value in pairs:
+    for key, value in values.items():
         family, _, name = key.partition(".")
         parse = FAMILIES[family].keys().get(name) if family in FAMILIES else None
         if parse is None:
@@ -266,7 +270,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     return SweepConfig(
         seed=seed,
         families=fams,
-        values=tuple(pairs),
+        values=tuple(values.items()),
         iota_max_n=iota_max,
         gamma_max_n=gamma_max,
         timings=timings_raw in ("on", "yes", "true"),
@@ -659,19 +663,14 @@ def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
 
 @dataclass(frozen=True)
 class OddDegreeRecord:
-    n: int
-    odd_count: int
     alpha: Fraction
     combinator_size: int
     bound: Fraction  # (2 - alpha) * n / 4
-    within_bound: bool
     non_dominating_classes: int
 
 
 def odd_degree_analysis(
-    g: PlaneGraph,
-    c: Coloring,
-    combinator_result: DominationResult | None = None,
+    g: PlaneGraph, c: Coloring, *, combinator_result: DominationResult
 ) -> OddDegreeRecord:
     """Check the odd-degree observations on a planar triangulation with a
     proper 4-coloring.
@@ -680,17 +679,16 @@ def odd_degree_analysis(
     and when every degree is odd every class dominates.  The
     (2 - alpha) n / 4 size comparison is only recorded; a violation is
     interesting data, not an implementation error, so it surfaces as a
-    finding instead of an exception.  A given `combinator_result` must be
+    finding instead of an exception.  `combinator_result` must be
     `class_combinator(g, c)`: its U_i are read, not derived again.
     """
-    cls = classify(g)
-    if cls.category is not Category.PLANAR_TRIANGULATION or c.k != 4:
+    if classify(g).category is not Category.PLANAR_TRIANGULATION or c.k != 4:
         raise ValueError("odd-degree analysis needs a triangulation and 4 classes")
     n = g.n
     odd = [v for v in g.vertices() if g.degree(v) % 2 == 1]
     alpha = Fraction(len(odd), n)
 
-    res = combinator_result or class_combinator(g, c)
+    res = combinator_result
     if res.undominated is None:
         raise ValueError("combinator_result lacks the combinator's U_i record")
     stray = sorted(set(odd) & set().union(*res.undominated))
@@ -704,14 +702,10 @@ def odd_degree_analysis(
             f"{non_dominating} classes fail to dominate an all-odd triangulation"
         )
 
-    bound = (2 - alpha) * Fraction(n, 4)
     return OddDegreeRecord(
-        n=n,
-        odd_count=len(odd),
         alpha=alpha,
         combinator_size=res.size,
-        bound=bound,
-        within_bound=res.size <= bound,
+        bound=(2 - alpha) * Fraction(n, 4),
         non_dominating_classes=non_dominating,
     )
 
@@ -754,37 +748,26 @@ class ConjectureAudit:
 
 
 def audit_conjectures(reports: list[BoundReport]) -> ConjectureAudit:
-    gamma_conj_checked = iota_conj_checked = gamma_tight = iota_tight = 0
-    gamma_conj_hits = []
-    iota_conj_hits = []
+    rows = defaultdict(list)  # record name -> [(report, record)]
     for rep in reports:
         for r in rep.records:
-            if r.name == "conjecture_gamma_n4":
-                gamma_conj_checked += 1
-                if not r.holds:
-                    gamma_conj_hits.append(
-                        (rep.graph_id, rep.n, _frac_str(r.lhs), _frac_str(r.rhs))
-                    )
-                elif r.lhs == r.rhs:
-                    gamma_tight += 1
-            elif r.name == "k4_chain_gamma_n4" and r.holds:
-                gamma_tight += 1
-            elif r.name == "conjecture_iota_n3":
-                iota_conj_checked += 1
-                if not r.holds:
-                    iota_conj_hits.append(
-                        (rep.graph_id, rep.n, _frac_str(r.lhs), _frac_str(r.rhs))
-                    )
-            elif r.name == "diamond_iota_2n7" and r.holds:
-                iota_tight += 1
+            rows[r.name].append((rep, r))
+
+    def hits(name):
+        bad = [(rep, r) for rep, r in rows[name] if not r.holds]
+        return tuple((rep.graph_id, rep.n, str(r.lhs), str(r.rhs)) for rep, r in bad)
+
+    def tight(*names):  # rows that hold with equality
+        return sum(r.holds and r.lhs == r.rhs for name in names for _, r in rows[name])
+
     return ConjectureAudit(
         reports=len(reports),
-        gamma_conj_checked=gamma_conj_checked,
-        gamma_conj_hits=tuple(gamma_conj_hits),
-        iota_conj_checked=iota_conj_checked,
-        iota_conj_hits=tuple(iota_conj_hits),
-        gamma_tight=gamma_tight,
-        iota_tight=iota_tight,
+        gamma_conj_checked=len(rows["conjecture_gamma_n4"]),
+        gamma_conj_hits=hits("conjecture_gamma_n4"),
+        iota_conj_checked=len(rows["conjecture_iota_n3"]),
+        iota_conj_hits=hits("conjecture_iota_n3"),
+        gamma_tight=tight("conjecture_gamma_n4", "k4_chain_gamma_n4"),
+        iota_tight=tight("diamond_iota_2n7"),
     )
 
 
@@ -796,7 +779,7 @@ def render_table(reports: list[BoundReport], include_timings: bool = False) -> s
         for r in rep.records:
             lines.append(
                 f"{rep.family}\t{rep.graph_id}\t{rep.n}\t{rep.seed}\t{r.name}\t"
-                f"{_frac_str(r.lhs)}\t{r.op}\t{_frac_str(r.rhs)}\t"
+                f"{r.lhs}\t{r.op}\t{r.rhs}\t"
                 f"{'yes' if r.holds else 'NO'}\t{ms}"
             )
         for err in rep.errors:

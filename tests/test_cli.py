@@ -1,15 +1,16 @@
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from domtri import coloring, domination, harness
+from domtri import cli, coloring, domination, harness
 from domtri.cli import main
 from domtri.coloring import Coloring, is_proper
 from domtri.domination import is_dominating, is_independent
 from domtri.generators import k4_chain, random_triangulation, recursive_eulerian
 from domtri.harness import FAMILIES, parse_sweep_config
-from domtri.plane_graph import load_pgr, parse_pgr, to_pgr
+from domtri.plane_graph import InvariantBreach, load_pgr, parse_pgr, to_pgr
 
 TINY_CONFIG = """\
 families = k4, icosahedron
@@ -205,12 +206,32 @@ def _report_line(lhs: str, level: str = "bound") -> str:
     return f'{{"graph_id": "g", "records": [{record}]}}\n'
 
 
+def _full_report_line(**fields) -> str:
+    """A well-formed report line without records, with `fields` replaced."""
+    doc = {
+        "graph_id": "g", "family": "k4", "n": 4, "seed": 0,
+        "category": "planar_triangulation", "min_degree": 3,
+        "all_degrees_odd": True, "all_degrees_even": False, "records": [], "errors": [],
+    }
+    return json.dumps(doc | fields) + "\n"
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [
         ("dominate", "0 0\n1 x\n", "invalid literal for int()"),
         ("dominate", "0 0\n1 1\n2 2\n", "coloring covers 3 vertices, graph has 9"),
         ("dominate", "".join(f"{v} 0\n" for v in range(9)), "coloring is not proper"),
+        (
+            "dominate",
+            "# coloring k=2\n" + "".join(f"{v} {v % 3}\n" for v in range(9)),
+            "header k=2 is outside 3..9",
+        ),
+        (
+            "dominate",
+            "# coloring k=10\n" + "".join(f"{v} {v % 3}\n" for v in range(9)),
+            "header k=10 is outside 3..9",
+        ),
         ("color", '{"family": "x"}', "missing field 'steps'"),
         ("color", recursive_eulerian(2, 4)[1].to_json(), "does not rebuild"),
         (
@@ -225,11 +246,23 @@ def _report_line(lhs: str, level: str = "bound") -> str:
         ("audit", _report_line("Infinity"), "number inf is not of the form p or p/q"),
         ("audit", _report_line('"1e4000000"'), "'1e4000000' is not of the form p or p/q"),
         ("audit", _report_line('"1"', level="bogus"), "unknown level 'bogus'"),
+        ("audit", _report_line('"1"').replace('"a"', '["a"]'), "name ['a'] is not str"),
+        ("audit", _full_report_line(graph_id=[1]), "graph_id [1] is not str"),
+        ("audit", _full_report_line(n="abc"), "n 'abc' is not int"),
+        ("audit", _full_report_line(n=True), "n True is not int"),
+        ("audit", _full_report_line(seed=None), "seed None is not int"),
+        ("audit", _full_report_line(all_degrees_odd="yes"), "all_degrees_odd 'yes' is not bool"),
+        ("audit", _full_report_line(errors="boom"), "errors 'boom' is not list"),
+        ("audit", _full_report_line(errors=[1]), "error 1 is not str"),
+        ("audit", _full_report_line(records={}), "records {} is not list"),
+        ("audit", _full_report_line(runtime_ms="1"), "runtime_ms '1' is not int/float/NoneType"),
     ],
     ids=[
         "coloring-token",
         "coloring-length",
         "coloring-improper",
+        "coloring-header-k-below-classes",
+        "coloring-header-k-above-vertices",
         "trace-no-steps",
         "trace-other-graph",
         "trace-unknown-vertex",
@@ -239,6 +272,16 @@ def _report_line(lhs: str, level: str = "bound") -> str:
         "report-infinite-lhs",
         "report-exponent-lhs",
         "report-unknown-level",
+        "report-list-name",
+        "report-list-graph-id",
+        "report-string-n",
+        "report-true-n",
+        "report-null-seed",
+        "report-string-odd",
+        "report-string-errors",
+        "report-number-error",
+        "report-object-records",
+        "report-string-runtime",
     ],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, message):
@@ -290,6 +333,29 @@ def test_color_with_checks(tmp_path, capsys):
     assert "unknown check 'planar'" in err
 
 
+def test_color_failing_check_exits_1(tmp_path, capsys):
+    # the octahedron's coloring uses 3 classes; any two induce a 4-cycle
+    p = tmp_path / "g.pgr"
+    main(["gen", "octahedron", "-o", str(p)])
+    capsys.readouterr()
+    code, out, err = run(capsys, "color", str(p), "--check", "proper,acyclic")
+    assert code == 1
+    assert "# check proper: ok" in err and "# check acyclic: FAIL" in err
+    assert out.startswith("# coloring k=4\n")  # the coloring is still written
+
+
+def test_color_then_dominate_matches_plain_dominate(tmp_path, capsys):
+    # class 3 of the octahedron's coloring is empty; the file's header keeps
+    # k = 4, so the combinator takes the same fallback path as without a file
+    p, col = tmp_path / "g.pgr", tmp_path / "g.col"
+    main(["gen", "octahedron", "-o", str(p)])
+    main(["color", str(p), "-o", str(col)])
+    capsys.readouterr()
+    code, via_file, _ = run(capsys, "dominate", str(p), "--coloring", str(col), "--json")
+    assert code == 0 and json.loads(via_file)["used_fallback"]
+    assert run(capsys, "dominate", str(p), "--json") == (0, via_file, "")
+
+
 def test_color_six_needs_trace(tmp_path, capsys):
     p = tmp_path / "g.pgr"
     t = tmp_path / "trace.json"
@@ -331,7 +397,7 @@ def test_color_and_dominate_large_chain(tmp_path, capsys):
     g = load_pgr(p)
     code, out, err = run(capsys, "color", str(p), "--check", "proper")
     assert code == 0 and "# check proper: ok" in err
-    assert is_proper(g, Coloring.from_text(out, k=4))
+    assert is_proper(g, Coloring.from_text(out))
     code, out, err = run(capsys, "dominate", str(p), "--method", "combinator", "--json")
     assert code == 0 and "Traceback" not in err
     chosen = json.loads(out)["vertices"]
@@ -363,6 +429,47 @@ def test_dominate_json(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["method"] == "combinator" and doc["used_fallback"]
+
+
+def test_dominate_plain_text(tmp_path, capsys):
+    p = tmp_path / "g.pgr"
+    main(["gen", "octahedron", "-o", str(p)])
+    capsys.readouterr()
+    assert run(capsys, "dominate", str(p)) == (0, "combinator size=2 vertices=[0, 3]\n", "")
+
+
+def test_breach_and_embedding_error_exit_1(tmp_path, capsys, monkeypatch):
+    k5 = tmp_path / "k5.pgr"
+    k5.write_text(
+        "pgr 1 5\n"
+        + "".join(f"{v}: {' '.join(str(u) for u in range(5) if u != v)}\n" for v in range(5))
+    )
+    for command in ("color", "dominate"):
+        code, out, err = run(capsys, command, str(k5))
+        assert (code, out) == (1, "")
+        assert err.startswith("embedding error: rotation system is not planar")
+
+    def breach(g, c):
+        raise InvariantBreach("stub")
+
+    p = tmp_path / "g.pgr"
+    main(["gen", "octahedron", "-o", str(p)])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "class_combinator", breach)
+    assert run(capsys, "dominate", str(p)) == (1, "", "invariant breach: stub\n")
+
+
+def test_verify_reports_a_link_failure(tmp_path, capsys, monkeypatch):
+    def breach(g, v):
+        raise InvariantBreach(f"link of {v} is broken")
+
+    p = tmp_path / "g.pgr"
+    main(["gen", "icosahedron", "-o", str(p)])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "neighborhood_structure", breach)
+    code, out, _ = run(capsys, "verify", str(p))
+    assert code == 1
+    assert "vertex_link_dichotomy: FAIL (link of 0 is broken)\n" in out
 
 
 def test_dominate_json_reports_search_nodes(tmp_path, capsys):
@@ -432,6 +539,24 @@ def test_sweep_notes_conjecture_exceedances(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "-c", str(cfg))
     assert code == 0  # conjecture rows never fail the sweep
     assert "audited separately" in out
+
+
+def test_sweep_prints_failed_rows_and_errors(tmp_path, capsys, monkeypatch):
+    def no_coloring(g):
+        raise coloring.ColoringLimitExceeded("stub")
+
+    def broken_faces(g):
+        return SimpleNamespace(lhs=5, rhs=1, strengthened_rhs=1)
+
+    monkeypatch.setattr(harness, "four_coloring", no_coloring)
+    monkeypatch.setattr(harness, "check_faces_inequality", broken_faces)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("families = k4\nout = " + str(tmp_path / "r") + "\n")
+    code, out, _ = run(capsys, "sweep", "-c", str(cfg))
+    assert code == 1
+    assert "1 with failures" in out
+    assert "  FAIL k4: faces_inequality 5 <= 1\n" in out
+    assert "  ERROR k4: combinator: stub\n" in out
 
 
 def test_sweep_bad_config_is_usage_error(tmp_path, capsys):

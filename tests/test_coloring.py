@@ -49,9 +49,12 @@ def test_coloring_validation():
 
 def test_text_round_trip():
     c = Coloring(4, (0, 3, 1, 2, 0))
-    assert Coloring.from_text(c.to_text(), k=4) == c
-    # k is inferred from the largest class when not given
-    assert Coloring.from_text(c.to_text()).k == 4
+    assert Coloring.from_text(c.to_text()) == c
+    # the header keeps k when the top classes are empty
+    c = Coloring(4, (0, 1, 2, 0))
+    assert Coloring.from_text(c.to_text()) == c
+    # without the header, k is inferred from the largest class
+    assert Coloring.from_text("0 0\n1 1\n2 2\n3 0\n").k == 3
     assert Coloring.from_text("# note\n0 1\n\n1 0  # trailing\n").colors == (1, 0)
 
 
@@ -67,7 +70,7 @@ def test_text_rejects_class_beyond_vertex_count():
     with pytest.raises(ValueError, match="class index 3000000 is not below"):
         Coloring.from_text("0 0\n1 1\n2 2\n3 3000000\n")
     with pytest.raises(ValueError, match="class index 4 is not below"):
-        Coloring.from_text("0 0\n1 4\n2 2\n3 3\n", k=5)
+        Coloring.from_text("# coloring k=5\n0 0\n1 4\n2 2\n3 3\n")
     assert Coloring.from_text("0 3\n1 1\n2 2\n3 0\n").k == 4
 
 

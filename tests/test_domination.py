@@ -263,7 +263,7 @@ def test_combinator_rainbow_k4():
     r = class_combinator(k4(), Coloring(4, (0, 1, 2, 3)))
     assert r.size == 1
     assert not r.used_fallback
-    assert r.per_class == (1, 1, 1, 1)
+    assert r.witness_class == 0  # every candidate has size 1; ties go to the lower class
 
 
 def test_combinator_fallback_on_octahedron():
@@ -274,15 +274,15 @@ def test_combinator_fallback_on_octahedron():
     assert r.union_s == frozenset()
     assert r.size == 2
     assert r.vertices == c.class_members(r.witness_class)
-    assert r.per_class is None
 
 
 def test_combinator_icosahedron():
     g = icosahedron()
-    r = class_combinator(g, four_coloring(g))
+    c = four_coloring(g)
+    r = class_combinator(g, c)
     assert not r.used_fallback
     assert r.size == 3
-    assert r.per_class == (3, 3, 3, 3)
+    assert [len(c.class_members(i)) for i in range(4)] == [3, 3, 3, 3]
     # every class already dominates, so no S_i vertices are added
     assert r.union_s == frozenset()
     assert is_independent(g, r.vertices) and is_dominating(g, r.vertices)

@@ -7,7 +7,7 @@ import pytest
 
 from domtri import coloring, domination, harness
 from domtri.coloring import Coloring, four_coloring
-from domtri.domination import BoundRecord, exact_iota
+from domtri.domination import BoundRecord, class_combinator, exact_iota
 from domtri.generators import (
     icosahedron,
     k4,
@@ -335,11 +335,10 @@ def test_render_table_marks_failures():
 def test_odd_degree_analysis_icosahedron():
     g = icosahedron()
     c = four_coloring(g)
-    rec = odd_degree_analysis(g, c)
-    assert rec.alpha == 1
-    assert rec.odd_count == 12
+    rec = odd_degree_analysis(g, c, combinator_result=class_combinator(g, c))
+    assert rec.alpha == 1  # all 12 degrees are odd
     assert rec.bound == Fraction(3)
-    assert rec.combinator_size == 3 and rec.within_bound
+    assert rec.combinator_size == 3 <= rec.bound
     assert rec.non_dominating_classes == 0
     iota = exact_iota(g).size
     assert iota == 2 and iota <= rec.bound
@@ -348,17 +347,19 @@ def test_odd_degree_analysis_icosahedron():
 def test_odd_degree_analysis_mixed_degrees():
     g = random_triangulation(14, 3)
     c = four_coloring(g)
-    rec = odd_degree_analysis(g, c)
+    rec = odd_degree_analysis(g, c, combinator_result=class_combinator(g, c))
     assert 0 <= rec.alpha < 1
     assert rec.bound == (2 - rec.alpha) * Fraction(g.n, 4)
 
 
 def test_odd_degree_analysis_input_checks():
     near, _ = near_triangulation_from(random_triangulation(10, 1), 3)
+    c = four_coloring(near)
     with pytest.raises(ValueError, match="triangulation and 4 classes"):
-        odd_degree_analysis(near, four_coloring(near))
+        odd_degree_analysis(near, c, combinator_result=class_combinator(near, c))
+    c = Coloring(6, (0, 1, 2, 3))
     with pytest.raises(ValueError, match="triangulation and 4 classes"):
-        odd_degree_analysis(k4(), Coloring(6, (0, 1, 2, 3)))
+        odd_degree_analysis(k4(), c, combinator_result=class_combinator(k4(), c))
     with pytest.raises(ValueError, match="U_i"):
         odd_degree_analysis(k4(), four_coloring(k4()), combinator_result=exact_iota(k4()))
 
@@ -390,6 +391,22 @@ def test_audit_annotates_gamma_hits():
     assert audit.iota_tight == 1
     text = audit.render()
     assert "note oct" in text and "CANDIDATE" not in text
+
+
+def test_audit_counts_tight_rows_by_name():
+    k4_chain = BoundRecord("k4_chain_gamma_n4", Fraction(3), Fraction(3), op="==")
+    k4_chain_off = BoundRecord("k4_chain_gamma_n4", Fraction(4), Fraction(3), op="==")
+    gamma_loose = BoundRecord(
+        "conjecture_gamma_n4", Fraction(2), Fraction(3), level="conjecture"
+    )
+    reports = _audit_fixture() + [_report([k4_chain, gamma_loose]), _report([k4_chain_off])]
+    audit = audit_conjectures(reports)
+    # the fixture's tight conjecture row plus the one k4_chain row that holds
+    assert (audit.gamma_conj_checked, audit.gamma_tight, audit.iota_tight) == (3, 2, 1)
+    assert audit.render().splitlines()[-2:] == [
+        "gamma = n/4 tight instances: 2",
+        "iota = 2n/7 tight instances: 1",
+    ]
 
 
 def test_audit_flags_iota_candidates():

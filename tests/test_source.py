@@ -8,6 +8,20 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "domtri"
 
 
+def with_string_annotations(tree: ast.AST) -> list[ast.AST]:
+    """The tree plus one parsed tree per string annotation in it."""
+    annotations = [
+        n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))
+    ] + [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    return [tree] + [
+        ast.parse(c.value, mode="eval")
+        for a in annotations
+        if a is not None
+        for c in ast.walk(a)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports but never reads.  A name is read when it
     appears as a bare name, also inside a string annotation."""
@@ -18,18 +32,47 @@ def unused_imports(source: str) -> list[str]:
             imported += [a.asname or a.name.partition(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
-    annotations = [
-        n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))
-    ] + [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-    trees = [tree] + [
-        ast.parse(c.value, mode="eval")
-        for a in annotations
-        if a is not None
-        for c in ast.walk(a)
-        if isinstance(c, ast.Constant) and isinstance(c.value, str)
-    ]
+    trees = with_string_annotations(tree)
     used = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """`module:name` for each private top-level name (`_x`, not a dunder)
+    that a module defines and no module reads.  A name is read when it is
+    loaded as a bare name or an attribute, also inside a string
+    annotation; an import alone is not a read."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [ast.Name(node.name)]
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            defined += [
+                (module, n.id)
+                for t in targets
+                for n in ast.walk(t)
+                if isinstance(n, ast.Name)
+            ]
+        for t in with_string_annotations(tree):
+            for n in ast.walk(t):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    read.add(n.id)
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    read.add(n.attr)
+    return [
+        f"{module}:{name}"
+        for module, name in defined
+        if name.startswith("_")
+        and not (name.startswith("__") and name.endswith("__"))
+        and name not in read
+    ]
 
 
 def test_unused_import_scan_sees_its_cases():
@@ -42,6 +85,24 @@ def test_unused_import_scan_sees_its_cases():
     assert unused_imports(source) == ["os", "dumps"]
 
 
+def test_unread_private_name_scan_sees_its_cases():
+    a = (
+        "__all__ = []\n_A = 1\n_B: int = 2\n_C, _D = 3, 4\n"
+        "def _f():\n    return _A + _C\n"
+        "class _K:\n    pass\n"
+        "def _g() -> '_K':\n    pass\n"
+        "def public():\n    _h = 5\n    return _h\n"
+    )
+    b = "import a\nfrom a import _f, _g\n_g()\nprint(a._B)\n"
+    # _f is only imported, _D only stored; the local _h is not top level
+    assert unread_private_names({"a": a, "b": b}) == ["a:_D", "a:_f"]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_modules_use_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_reads_every_private_name():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
