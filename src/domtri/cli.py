@@ -241,7 +241,7 @@ def _cmd_verify(args) -> int:
         f" degrees_odd={'yes' if cls.all_degrees_odd else 'no'}"
     )
     ok = cls.category.value != "invalid"
-    if g.is_connected:
+    if g.is_connected and g.n >= 2:
         rep = check_faces_inequality(g)
         print(f"faces_inequality: {rep.lhs} <= {rep.rhs} {'ok' if rep.holds else 'FAIL'}")
         ok = ok and rep.holds

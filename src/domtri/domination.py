@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .coloring import Coloring, is_proper
 from .plane_graph import (
@@ -56,7 +57,7 @@ _MAX_DEPTH = 500
 class DominationResult:
     vertices: frozenset[int]
     size: int
-    method: str  # combinator | exact_iota | exact_gamma | greedy
+    method: str  # combinator | exact_iota | exact_gamma
     witness_class: int | None = None
     union_s: frozenset[int] | None = None  # the combinator's S1 u .. u Sk
     used_fallback: bool = False
@@ -109,9 +110,8 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
 
     When some class is empty and every vertex lies in a triangle, the
     smallest nonempty class is itself dominating and is returned
-    directly.  For 4-colorings of near triangulations with all classes
-    nonempty, the pairwise condition N[U_i] n U_j = 0 and the
-    independence of S1 u .. u S4 are verified as hard invariants.
+    directly.  Only the sets it may return are checked here; the lemmas
+    behind their sizes are rows of `verify_combinator_accounting`.
     """
     if not is_proper(g, c):
         raise ValueError("coloring is not proper")
@@ -119,61 +119,37 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
     everything = frozenset(g.vertices())
     u_sets = tuple(everything - closed_neighborhood(g, m) for m in members)
 
-    if any(not m for m in members) and all(
+    fallback = any(not m for m in members) and all(
         _in_triangle(g, v) for v in g.vertices()
-    ):
-        _, i = min((len(m), i) for i, m in enumerate(members) if m)
-        chosen = members[i]
-        if u_sets[i]:  # a class of a proper coloring is independent
+    )
+    if fallback:
+        _, best = min((len(m), i) for i, m in enumerate(members) if m)
+        if u_sets[best]:  # a class of a proper coloring is independent
             raise InvariantBreach(
-                f"nonempty class {i} does not dominate despite an empty "
+                f"nonempty class {best} does not dominate despite an empty "
                 f"class and all vertices in triangles\n{to_pgr(g)}"
             )
-        return DominationResult(
-            vertices=chosen,
-            size=len(chosen),
-            method="combinator",
-            witness_class=i,
-            union_s=frozenset(),
-            used_fallback=True,
-            undominated=u_sets,
-        )
-
-    s_sets = [
-        greedy_maximal_independent(_induced_adjacency(g, u)) for u in u_sets
-    ]
-    candidates = [members[i] | s_sets[i] for i in range(c.k)]
-    for i, cand in enumerate(candidates):
-        if not (is_dominating(g, cand) and is_independent(g, cand)):
-            raise InvariantBreach(
-                f"class {i} union S_{i} is not independent dominating\n"
-                f"{to_pgr(g)}\ncoloring={c.colors}\nS_{i}={sorted(s_sets[i])}"
-            )
-
-    if c.k == 4 and classify(g).category in NEAR_OR_PLANAR:
-        for i in range(4):
-            ni = closed_neighborhood(g, u_sets[i])
-            for j in range(4):
-                if i != j and ni & u_sets[j]:
-                    raise InvariantBreach(
-                        f"N[U_{i}] meets U_{j}: {sorted(ni & u_sets[j])}\n"
-                        f"{to_pgr(g)}\ncoloring={c.colors}"
-                    )
-        union_s = frozenset().union(*s_sets)
-        if not is_independent(g, union_s):
-            raise InvariantBreach(
-                f"S1 u .. u S4 is not independent\n{to_pgr(g)}\n"
-                f"coloring={c.colors}\nS={sorted(union_s)}"
-            )
-
-    sizes = tuple(len(cand) for cand in candidates)
-    best = min(range(c.k), key=lambda i: (sizes[i], i))
+        chosen, union_s = members[best], frozenset()
+    else:
+        s_sets = [
+            greedy_maximal_independent(_induced_adjacency(g, u)) for u in u_sets
+        ]
+        candidates = [members[i] | s_sets[i] for i in range(c.k)]
+        for i, cand in enumerate(candidates):
+            if not (is_dominating(g, cand) and is_independent(g, cand)):
+                raise InvariantBreach(
+                    f"class {i} union S_{i} is not independent dominating\n"
+                    f"{to_pgr(g)}\ncoloring={c.colors}\nS_{i}={sorted(s_sets[i])}"
+                )
+        best = min(range(c.k), key=lambda i: (len(candidates[i]), i))
+        chosen, union_s = candidates[best], frozenset().union(*s_sets)
     return DominationResult(
-        vertices=candidates[best],
-        size=sizes[best],
+        vertices=chosen,
+        size=len(chosen),
         method="combinator",
         witness_class=best,
-        union_s=frozenset().union(*s_sets),
+        union_s=union_s,
+        used_fallback=fallback,
         undominated=u_sets,
     )
 
@@ -337,11 +313,13 @@ def verify_combinator_accounting(
     """Re-derive every intermediate inequality behind the 5n/12, 3n/8 and
     n/3 bounds on this instance and fail hard on any violation.
 
-    Recomputes H = G - S, the interior/boundary split X, Y of S, the face
-    of H that each deleted vertex falls into (its hole), f_4(H) and the
-    outer cycle length, then checks the full chain, with the
-    planar-triangulation and minimum-degree-5 refinements when they
-    apply.
+    The one checker of the combinator's lemmas: S = S_1 u .. u S_k is
+    independent, N[U_i] misses U_j off the fallback path, and every class
+    dominates the odd-degree vertices of a planar triangulation.  Then
+    it recomputes H = G - S, the interior/boundary split X, Y of S, the
+    face of H that each deleted vertex falls into (its hole), f_4(H) and
+    the outer cycle length, and checks the full chain with its planar and
+    minimum-degree-5 refinements.
     """
     if result.union_s is None or result.undominated is None:
         raise ValueError("result lacks the combinator's union_s and U_i records")
@@ -351,6 +329,19 @@ def verify_combinator_accounting(
 
     n = g.n
     s = result.union_s
+    u_sets = result.undominated
+
+    def breach(failing):
+        raise InvariantBreach(
+            f"accounting failed: {failing}\n{to_pgr(g)}\n"
+            f"coloring={c.colors}\nS={sorted(s)}"
+        )
+
+    s_edges = sum(len(g.neighbors(v) & s) for v in s) // 2
+    checks = [BoundRecord("s_independent", s_edges, 0)]
+    if s_edges:  # each hole dart below needs both ends to survive
+        breach(checks)
+
     outer_vertices = frozenset(g.outer_face.boundary)
     y = s & outer_vertices
     x = s - y
@@ -360,7 +351,6 @@ def verify_combinator_accounting(
         raise InvariantBreach(
             f"H = G - S is disconnected\n{to_pgr(g)}\nS={sorted(s)}"
         )
-    # S is independent, so both ends of each hole dart survive.
     hole = {}
     for v in s:
         a, b = deleted_vertex_region_dart(g, v)
@@ -375,7 +365,7 @@ def verify_combinator_accounting(
     faces_ineq = check_faces_inequality(h)
     o = len(outer_vertices)
 
-    checks = [
+    checks += [
         BoundRecord("x_holes_inner", x_holes.count(h.outer_face_id), 0),
         BoundRecord("x_holes_distinct", len(x_holes) - len(set(x_holes)), 0),
         BoundRecord(
@@ -400,6 +390,9 @@ def verify_combinator_accounting(
     # nonempty; the fallback path bounds the smallest nonempty class
     # directly instead
     if not result.used_fallback:
+        near = [closed_neighborhood(g, u) for u in u_sets]
+        apart = sum(1 for i, j in permutations(range(c.k), 2) if near[i] & u_sets[j])
+        checks.append(BoundRecord("undominated_sets_apart", apart, 0))
         checks.append(
             BoundRecord(
                 "combined_size", result.size, Fraction(n, 3) + Fraction(f4 + o - 2, 12)
@@ -407,13 +400,13 @@ def verify_combinator_accounting(
         )
     else:
         # a nonempty class dominates iff its U_i is empty
-        bad = sum(
-            1 for i, u in enumerate(result.undominated) if u and c.class_members(i)
-        )
+        bad = sum(1 for i, u in enumerate(u_sets) if u and c.class_members(i))
         checks.append(BoundRecord("fallback_classes_dominating", bad, 0))
         checks.append(BoundRecord("fallback_size", result.size, Fraction(n, 3)))
 
     if cls.category is Category.PLANAR_TRIANGULATION:
+        odd_missed = sum(g.degree(v) % 2 for v in frozenset().union(*u_sets))
+        checks.append(BoundRecord("odd_vertices_dominated", odd_missed, 0))
         checks.append(BoundRecord("planar_y", len(y), 1))
         checks.append(BoundRecord("planar_three_s", 3 * len(s), n + f4))
         checks.append(BoundRecord("planar_f4", f4, Fraction(2 * n - 4, 4)))
@@ -430,8 +423,5 @@ def verify_combinator_accounting(
 
     failing = [ch for ch in checks if not ch.holds]
     if failing:
-        raise InvariantBreach(
-            f"accounting failed: {failing}\n{to_pgr(g)}\n"
-            f"coloring={c.colors}\nS={sorted(s)}"
-        )
+        breach(failing)
     return tuple(checks)

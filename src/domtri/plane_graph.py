@@ -409,11 +409,12 @@ def neighborhood_structure(g: PlaneGraph, v: int) -> NeighborhoodStructure:
 
 
 def check_faces_inequality(h: PlaneGraph) -> FacesInequalityReport:
-    """f_4 + 2*sum(f_i for i >= 6) <= |V| - 2 on a connected plane graph,
-    and the strengthened right side |V| - 2 - (f_3 + 3*f_5)/2.
+    """f_4 + 2*sum(f_i for i >= 6) <= |V| - 2 on a connected plane graph
+    with |V| >= 2, and the strengthened right side |V| - 2 - (f_3 + 3*f_5)/2.
+    |V| - 2 sums (deg f - 2)/2 over the faces; K1's one face has degree 0.
     """
-    if not h.is_connected:
-        raise ValueError("faces inequality is stated for connected plane graphs")
+    if not h.is_connected or h.n < 2:
+        raise ValueError("faces inequality is stated for connected plane graphs, n >= 2")
     hist = face_degree_histogram(h)
     lhs = hist.get(4, 0) + 2 * sum(c for d, c in hist.items() if d >= 6)
     rhs = h.n - 2

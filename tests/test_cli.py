@@ -191,6 +191,12 @@ def test_verify_edgeless_graph(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(p))
     assert code == 1
     assert out.startswith("category: invalid\n")
+    # K1 is connected, but the faces inequality needs two vertices
+    p.write_text("pgr 1 1\n0:\n")
+    code, out, _ = run(capsys, "verify", str(p))
+    assert code == 0
+    assert out.startswith("category: connected_plane\n")
+    assert "faces_inequality" not in out
 
 
 @pytest.mark.parametrize("command", ["verify", "color", "dominate", "audit"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -148,12 +149,23 @@ def test_check_chain_checks_properness_twice(monkeypatch, build, fallback):
     original = coloring.is_proper
     for module in (coloring, domination, harness):
         monkeypatch.setattr(module, "is_proper", counted)
+    classified = []
+
+    def counted_classify(h):
+        classified.append(1)
+        return real_classify(h)
+
+    real_classify = domination.classify
+    for module in (domination, harness):
+        monkeypatch.setattr(module, "classify", counted_classify)
     c = four_coloring(g)
     res = class_combinator(g, c)
     verify_combinator_accounting(g, c, res)
     odd_degree_analysis(g, c, combinator_result=res)
     # once in four_coloring, once in class_combinator
     assert len(passes) == 2
+    # once in the accounting, once in the odd-degree analysis
+    assert len(classified) == 2
     assert res.used_fallback == fallback
 
 
@@ -364,6 +376,46 @@ def test_accounting_catches_misplaced_holes(monkeypatch, n, seed, row):
     monkeypatch.setattr(domination, "deleted_vertex_region_dart", lambda g, v: wrong(v))
     with pytest.raises(InvariantBreach, match=row):
         verify_combinator_accounting(g, c, r)
+
+
+def _edge_outside(g, s):
+    return next((u, v) for u, v in g.edges() if u not in s and v not in s)
+
+
+def test_accounting_names_a_dependent_s():
+    # the hole darts assume S is independent, so the row fails before
+    # they are read instead of ending in a KeyError
+    g = random_triangulation(20, 3)
+    c = four_coloring(g)
+    r = class_combinator(g, c)
+    broken = dataclasses.replace(r, union_s=r.union_s | set(_edge_outside(g, r.union_s)))
+    with pytest.raises(InvariantBreach, match="s_independent"):
+        verify_combinator_accounting(g, c, broken)
+
+
+def test_accounting_names_meeting_undominated_sets():
+    g, _ = near_triangulation_from(random_triangulation(18, 21), 5)
+    c = four_coloring(g)
+    r = class_combinator(g, c)
+    assert not r.used_fallback
+    u, v = _edge_outside(g, set().union(*r.undominated))
+    broken = dataclasses.replace(
+        r, undominated=(r.undominated[0] | {u}, r.undominated[1] | {v}) + r.undominated[2:]
+    )
+    with pytest.raises(InvariantBreach, match="undominated_sets_apart") as exc:
+        verify_combinator_accounting(g, c, broken)
+    assert "odd_vertices_dominated" not in str(exc.value)  # a near triangulation
+
+
+def test_accounting_names_an_undominated_odd_vertex():
+    g = icosahedron()  # every U_i is empty and every degree is 5
+    c = four_coloring(g)
+    r = class_combinator(g, c)
+    assert not r.used_fallback and not any(r.undominated)
+    broken = dataclasses.replace(r, undominated=(frozenset({0}),) + r.undominated[1:])
+    with pytest.raises(InvariantBreach, match="odd_vertices_dominated") as exc:
+        verify_combinator_accounting(g, c, broken)
+    assert "undominated_sets_apart" not in str(exc.value)
 
 
 def test_accounting_needs_union_s():

@@ -305,6 +305,45 @@ def test_run_sweep_all_odd_instances():
     assert "all_odd_classes_dominating" in names
 
 
+def _breaking_combinator(monkeypatch, **fields):
+    """Make the sweep's combinator return its real result with `fields`
+    replaced, each computed from the graph and that result."""
+
+    def broken(g, c):
+        r = class_combinator(g, c)
+        return dataclasses.replace(r, **{k: f(g, r) for k, f in fields.items()})
+
+    monkeypatch.setattr(harness, "class_combinator", broken)
+
+
+def test_accounting_breach_is_a_report_error(monkeypatch):
+    _breaking_combinator(monkeypatch, union_s=lambda g, r: frozenset(g.edges()[0]))
+    (rep,) = run_sweep(parse_sweep_config("families = k4\n"))
+    assert not rep.holds
+    (err,) = rep.errors
+    assert err.startswith("accounting: accounting failed: [BoundRecord(name='s_independent'")
+    assert "combinator_accounting" not in {r.name for r in rep.records}
+
+
+def test_all_odd_row_fails_a_non_dominating_class(monkeypatch):
+    g = random_triangulation(8, 5)
+    c = four_coloring(g)
+    r = class_combinator(g, c)
+    missed = dataclasses.replace(r, undominated=(frozenset({0}),) + r.undominated[1:])
+    rec = odd_degree_analysis(g, c, combinator_result=missed)  # measures, does not raise
+    assert (rec.alpha, rec.non_dominating_classes) == (1, 1)
+
+    _breaking_combinator(
+        monkeypatch, undominated=lambda g, r: (frozenset({0}),) + r.undominated[1:]
+    )
+    (rep,) = run_sweep(parse_sweep_config("families = all_odd\nall_odd.instances = 8:5\n"))
+    assert not rep.holds
+    (row,) = [ln for ln in render_table([rep]).splitlines() if "all_odd_classes" in ln]
+    assert "\t1\t<=\t0\tNO\t" in row
+    # the same U_0 leaves an odd-degree vertex undominated
+    assert any("odd_vertices_dominated" in e for e in rep.errors)
+
+
 def test_emit_and_load(tmp_path):
     reports = run_sweep(parse_sweep_config("families = k4, octahedron\n"))
     tsv, jsonl = emit(reports, tmp_path / "out")

@@ -348,6 +348,9 @@ def test_faces_inequality_on_hex_disk():
 def test_faces_inequality_requires_connected():
     with pytest.raises(ValueError):
         check_faces_inequality(PlaneGraph([[1], [0], [3], [2]]))
+    # K1's one face has degree 0, below the 2 the bound's face sum needs
+    with pytest.raises(ValueError, match="n >= 2"):
+        check_faces_inequality(PlaneGraph([[]]))
 
 
 def flipped(g: PlaneGraph, u: int, v: int) -> PlaneGraph:

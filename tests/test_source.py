@@ -103,6 +103,22 @@ def test_package_modules_use_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def line_count(paths) -> int:
+    """Lines over all the files, as `wc -l` counts them (newline bytes)."""
+    return sum(p.read_bytes().count(b"\n") for p in paths)
+
+
+def test_line_count_matches_wc(tmp_path):
+    (tmp_path / "a.py").write_text("x = 1\n\ny = 2")  # no final newline
+    (tmp_path / "b.py").write_text("")
+    assert line_count(sorted(tmp_path.glob("*.py"))) == 2
+
+
+def test_package_stays_under_line_cap():
+    # the cap that ROADMAP.md sets for src/domtri
+    assert line_count(SRC.glob("*.py")) <= 3000
+
+
 def test_package_reads_every_private_name():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
