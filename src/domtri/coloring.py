@@ -127,7 +127,7 @@ def _missing(g: PlaneGraph, c: Coloring, v: int) -> frozenset[int]:
 
 
 # Vertex choices the four_coloring search may make before it falls back to
-# Kempe chains.  The largest tested search makes 710.
+# Kempe chains.  The largest tested search that succeeds makes 2,964.
 _SEARCH_NODES = 10_000
 
 
@@ -140,10 +140,12 @@ def four_coloring(g: PlaneGraph) -> Coloring:
 
     DSATUR (Brelaz 1979) with backtracking on an explicit stack: color
     the most saturated vertex next (ties: higher degree, then lower id),
-    lowest free class first; a lazy-deletion heap keyed (-saturation,
-    -degree, v) finds it.  Past _SEARCH_NODES vertex choices, fall back
-    to smallest-last insertion with Kempe-chain swaps (Morgenstern &
-    Shapiro 1991).  Raises ColoringLimitExceeded if that fails too.
+    lowest free class first.  Each saturation level keeps its uncolored
+    vertices as a bitmask over their (-degree, v) rank, so the pick is the
+    lowest bit of the highest nonempty level.  Past _SEARCH_NODES vertex
+    choices, fall back to smallest-last insertion with Kempe-chain swaps
+    (Morgenstern & Shapiro 1991).  Raises ColoringLimitExceeded if that
+    fails too.
     """
     nbrs = [g.neighbors(v) for v in g.vertices()]
     colors = _dsatur(nbrs) or _kempe_insertion(nbrs)  # n >= 1: never empty
@@ -156,30 +158,38 @@ def four_coloring(g: PlaneGraph) -> Coloring:
 def _dsatur(nbrs) -> list[int] | None:
     """The DSATUR coloring, or None past the node budget or on exhaustion."""
     n = len(nbrs)
-    colors, sat, seen = [-1] * n, [0] * n, [[0] * 4 for _ in nbrs]
-    heap = [(0, -len(nbrs[v]), v) for v in range(n)]
-    heapq.heapify(heap)
+    order = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
+    bit = [0] * n
+    for r, v in enumerate(order):
+        bit[v] = 1 << r
+    colors, sat, seen = [-1] * n, [0] * n, [0] * (4 * n)
+    # level[s]: the uncolored vertices of saturation s, one bit per rank, so
+    # the lowest bit of the highest nonempty level is the DSATUR pick
+    level = [(1 << n) - 1, 0, 0, 0, 0]
     trail: list[tuple[int, int]] = []  # (vertex, class) of each assignment
 
     def mark(v, c, step):  # step 1 gives v class c, step -1 takes it back
         colors[v], edge = (c, 1) if step > 0 else (-1, 0)
         for u in nbrs[v]:
-            seen[u][c] += step
-            if seen[u][c] == edge:  # the saturation of u changed
-                sat[u] += step
+            i = 4 * u + c
+            seen[i] += step
+            if seen[i] == edge:  # the saturation of u changed
                 if colors[u] < 0:
-                    heapq.heappush(heap, (-sat[u], -len(nbrs[u]), u))
+                    level[sat[u]] ^= bit[u]
+                    level[sat[u] + step] |= bit[u]
+                sat[u] += step
 
     for nodes in itertools.count(1):
-        while heap and (colors[heap[0][2]] >= 0 or -heap[0][0] != sat[heap[0][2]]):
-            heapq.heappop(heap)  # stale entry
-        if not heap:
+        top = next((s for s in (4, 3, 2, 1, 0) if level[s]), None)
+        if top is None:
             return colors
         if nodes > _SEARCH_NODES:
             return None
-        v, first = heapq.heappop(heap)[2], 0
-        while (c := next((c for c in range(first, 4) if not seen[v][c]), None)) is None:
-            heapq.heappush(heap, (-sat[v], -len(nbrs[v]), v))  # back up
+        low = level[top] & -level[top]
+        level[top] ^= low
+        v, first = order[low.bit_length() - 1], 0
+        while (c := next((c for c in range(first, 4) if not seen[4 * v + c]), None)) is None:
+            level[sat[v]] |= bit[v]  # back up
             if not trail:
                 return None
             v, c = trail.pop()

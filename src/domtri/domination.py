@@ -342,7 +342,7 @@ def verify_combinator_accounting(
     if s_edges:  # each hole dart below needs both ends to survive
         breach(checks)
 
-    outer_vertices = frozenset(g.outer_face.boundary)
+    outer_vertices = frozenset(g.outer_face)
     y = s & outer_vertices
     x = s - y
 
@@ -361,7 +361,7 @@ def verify_combinator_accounting(
     f4 = hist.get(4, 0)
     even_inner = sum(
         cnt for d, cnt in hist.items() if d % 2 == 0
-    ) - (1 if h.outer_face.degree % 2 == 0 else 0)
+    ) - (1 if len(h.outer_face) % 2 == 0 else 0)
     faces_ineq = check_faces_inequality(h)
     o = len(outer_vertices)
 
@@ -372,7 +372,7 @@ def verify_combinator_accounting(
             "y_holes_outer", sum(1 for v in y if hole[v] != h.outer_face_id), 0
         ),
         BoundRecord(
-            "x_holes_even_degree", sum(h.faces[f].degree % 2 for f in x_holes), 0
+            "x_holes_even_degree", sum(len(h.faces[f]) % 2 for f in x_holes), 0
         ),
         BoundRecord("x_in_even_inner_faces", len(x), even_inner),
         BoundRecord("interior_face_budget", 2 * len(x), h.n - 2 + f4),

@@ -461,7 +461,7 @@ def _find(root, x):
 def near_triangulation_from(g: PlaneGraph, v: int) -> tuple[PlaneGraph, dict[int, int]]:
     """Delete one vertex of a triangulation and re-root so the hole it
     leaves (the cycle formerly N(v)) becomes the outer face."""
-    if any(f.degree != 3 for f in g.faces):
+    if any(len(w) != 3 for w in g.faces):
         raise ValueError("near_triangulation_from expects a triangulation")
     a, b = deleted_vertex_region_dart(g, v)
     relabel = {old: new for new, old in enumerate(u for u in g.vertices() if u != v)}

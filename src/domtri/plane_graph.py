@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 Dart = tuple[int, int]
 
@@ -53,12 +53,6 @@ class GraphClass:
     is_two_connected: bool
     all_degrees_even: bool
     all_degrees_odd: bool
-
-
-class Face(NamedTuple):
-    id: int
-    boundary: tuple[int, ...]  # vertex walk, one entry per dart on the face
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -111,8 +105,11 @@ def _count_components(adj: Sequence[Iterable[int]]) -> int:
 class PlaneGraph:
     """Immutable plane graph: canonical rotations, faces, explicit outer face.
 
-    Vertices are 0..n-1.  Do not mutate the returned tuples; all derived
-    structure is computed once at construction.
+    Vertices are 0..n-1.  A face is its vertex walk, one entry per dart;
+    its id is its index in `faces` and its degree the walk's length.  Do
+    not mutate the returned tuples; all derived structure is computed once
+    at construction.  Faces and the dart map hold only tuples of ints, so
+    the cyclic garbage collector stops tracking them.
     """
 
     __slots__ = (
@@ -124,6 +121,7 @@ class PlaneGraph:
         "component_count",
         "_adj",
         "_dart_face",
+        "_class",
     )
 
     def __init__(
@@ -154,24 +152,31 @@ class PlaneGraph:
         self.edge_count = sum(len(rot) for rot in adj) // 2
 
         self.component_count = _count_components(adj)
-        # Faces are the orbits of the dart successor (u, v) -> (v, succ_v(u)).
-        # Starting an orbit at each unlabelled dart in sorted order numbers
-        # faces by their smallest dart; the labels double as the seen set.
-        succ = [dict(zip(r, r[1:] + r[:1])) for r in self.rotations]
-        dart_face: list[dict[int, int]] = [{} for _ in range(n)]
+        # Faces are the orbits of the dart successor (u, v) -> (v, succ_v(u)),
+        # walked by rotation position.  Starting an orbit at each unlabelled
+        # dart in sorted order numbers faces by their smallest dart; the
+        # labels double as the seen set.
+        rots = self.rotations
+        index = [{w: i for i, w in enumerate(r)} for r in rots]
+        labels = [[-1] * len(r) for r in rots]
         faces = []
-        for s, rot in enumerate(self.rotations):
+        for s, rot in enumerate(rots):
             for t in sorted(rot):
-                if t in dart_face[s]:
+                i = index[s][t]
+                if labels[s][i] >= 0:
                     continue
                 fid = len(faces)
                 walk = []
-                u, v = s, t
-                while v not in dart_face[u]:
+                u = s
+                while labels[u][i] < 0:
                     walk.append(u)
-                    dart_face[u][v] = fid
-                    u, v = v, succ[v][u]
-                faces.append(Face(fid, tuple(walk), len(walk)))
+                    labels[u][i] = fid
+                    v = rots[u][i]
+                    i = index[v][u] + 1
+                    if i == len(rots[v]):
+                        i = 0
+                    u = v
+                faces.append(tuple(walk))
         isolated = sum(1 for rot in self.rotations if not rot)
         # One face per single-vertex component is implicit (no darts).
         euler = self.n - self.edge_count + len(faces) + isolated
@@ -182,8 +187,10 @@ class PlaneGraph:
                 f"{self.component_count} component(s)"
             )
         # A map without darts still has its one (empty-walk) face.
-        self.faces: tuple[Face, ...] = tuple(faces) or (Face(0, (), 0),)
-        self._dart_face = dart_face
+        self.faces: tuple[tuple[int, ...], ...] = tuple(faces) or ((),)
+        # _dart_face[u][i] is the face of dart (u, rotations[u][i])
+        self._dart_face = tuple(map(tuple, labels))
+        self._class: GraphClass | None = None
         self.outer_face_id = self._resolve_outer(outer_dart)
 
     def _resolve_outer(self, outer_dart) -> int:
@@ -192,13 +199,15 @@ class PlaneGraph:
             if fid is None:
                 raise EmbeddingError(f"dart {outer_dart} not present")
             return fid
-        # No hint: the first largest face.  Walks start at their smallest dart
-        # and ids follow it, so its walk is the smallest among the largest.
-        return max(self.faces, key=lambda f: f.degree).id
+        # No hint: the first longest walk.  Walks start at their smallest dart
+        # and ids follow it, so it is the smallest among the longest.
+        return max(range(len(self.faces)), key=lambda f: len(self.faces[f]))
 
     def _face_id(self, u: int, v: int) -> int | None:
         """The face of dart (u, v), or None when the graph has no such dart."""
-        return self._dart_face[u].get(v) if 0 <= u < self.n else None
+        if not (0 <= u < self.n) or v not in self._adj[u]:
+            return None
+        return self._dart_face[u][self.rotations[u].index(v)]
 
     # -- accessors ---------------------------------------------------------
 
@@ -207,7 +216,7 @@ class PlaneGraph:
         return self.component_count == 1
 
     @property
-    def outer_face(self) -> Face:
+    def outer_face(self) -> tuple[int, ...]:
         return self.faces[self.outer_face_id]
 
     def vertices(self) -> range:
@@ -263,7 +272,7 @@ class PlaneGraph:
         return hash((self.rotations, self.outer_face_id))
 
     def __repr__(self) -> str:
-        return f"PlaneGraph(n={self.n}, m={self.edge_count}, outer={self.outer_face.boundary})"
+        return f"PlaneGraph(n={self.n}, m={self.edge_count}, outer={self.outer_face})"
 
 
 def closed_neighborhood(g: PlaneGraph, s: Iterable[int]) -> frozenset[int]:
@@ -276,11 +285,18 @@ def closed_neighborhood(g: PlaneGraph, s: Iterable[int]) -> frozenset[int]:
 
 
 def face_degree_histogram(g: PlaneGraph) -> dict[int, int]:
-    return dict(Counter(f.degree for f in g.faces))
+    return dict(Counter(map(len, g.faces)))
 
 
 def classify(g: PlaneGraph) -> GraphClass:
-    """Strongest applicable class plus degree/connectivity flags."""
+    """Strongest applicable class plus degree/connectivity flags, computed
+    once per graph (the map is immutable)."""
+    if g._class is None:
+        g._class = _classify(g)
+    return g._class
+
+
+def _classify(g: PlaneGraph) -> GraphClass:
     degs = g.degrees()
     min_deg = min(degs)
     # A connected plane graph on >= 3 vertices is 2-connected exactly
@@ -289,16 +305,16 @@ def classify(g: PlaneGraph) -> GraphClass:
         g.n >= 3
         and g.is_connected
         # A face walk of length <= 3 in a simple graph repeats no vertex.
-        and all(f.degree <= 3 or len(set(f.boundary)) == f.degree for f in g.faces)
+        and all(len(w) <= 3 or len(set(w)) == len(w) for w in g.faces)
     )
     all_even = all(d % 2 == 0 for d in degs)
     all_odd = all(d % 2 == 1 for d in degs)
     if not g.is_connected:
         cat = Category.INVALID
-    elif all(f.degree == 3 for f in g.faces):
+    elif all(len(w) == 3 for w in g.faces):
         cat = Category.PLANAR_TRIANGULATION
     elif two_conn and all(
-        f.degree == 3 for f in g.faces if f.id != g.outer_face_id
+        len(w) == 3 for f, w in enumerate(g.faces) if f != g.outer_face_id
     ):
         cat = Category.NEAR_TRIANGULATION
     else:
@@ -337,15 +353,14 @@ def delete_vertices(
     region = [g.outer_face_id]
     seen = set(region)
     for fid in region:
-        for v in g.faces[fid].boundary:
+        for v in g.faces[fid]:
             if v in s:
-                for u in g.rotations[v]:
-                    f = g._face_id(v, u)
+                for f in g._dart_face[v]:
                     if f not in seen:
                         seen.add(f)
                         region.append(f)
     for fid in region:
-        walk = g.faces[fid].boundary
+        walk = g.faces[fid]
         for a, b in zip(walk, walk[1:] + walk[:1]):
             if a not in s and b not in s:
                 return PlaneGraph(rot, outer_dart=(relabel[a], relabel[b])), relabel
@@ -362,8 +377,8 @@ def deleted_vertex_region_dart(g: PlaneGraph, v: int) -> Dart:
     w is a neighbor of v too and both ends survive the deletion of an
     independent set.
     """
-    for u in g.rotation(v):
-        if g.face_of_dart(v, u) != g.outer_face_id:
+    for u, f in zip(g.rotation(v), g._dart_face[v]):
+        if f != g.outer_face_id:
             return (u, _after(g.rotations, v, u))
     raise InvariantBreach(f"vertex {v} has no inner face")
 
@@ -392,7 +407,7 @@ def neighborhood_structure(g: PlaneGraph, v: int) -> NeighborhoodStructure:
     gaps = [i for i in range(d) if nbrs[(i + 1) % d] not in g._adj[nbrs[i]]]
     if not gaps and d >= 3:
         return NeighborhoodStructure("cycle", tuple(nbrs))
-    if v not in g.outer_face.boundary or g.outer_face.degree == 3:
+    if v not in g.outer_face or len(g.outer_face) == 3:
         raise InvariantBreach(
             f"vertex {v}: link is not a cycle although it is interior or the "
             "outer face is a triangle"
@@ -468,7 +483,7 @@ def _insert_span(rot: list[list[int]], v: int, after: int, new: list[int]) -> No
 
 
 def to_pgr(g: PlaneGraph) -> str:
-    lines = ["pgr 1 {} {}".format(g.n, " ".join(map(str, g.outer_face.boundary)))]
+    lines = ["pgr 1 {} {}".format(g.n, " ".join(map(str, g.outer_face)))]
     for v in range(g.n):
         lines.append("{}: {}".format(v, " ".join(map(str, g.rotations[v]))))
     return "\n".join(lines) + "\n"
@@ -512,7 +527,7 @@ def parse_pgr(text: str) -> PlaneGraph:
     if not outer:
         return PlaneGraph(rotations)
     g = PlaneGraph(rotations, outer_dart=tuple(outer[:2]))
-    if g.outer_face.boundary != _cyclic_canon(outer):
+    if g.outer_face != _cyclic_canon(outer):
         raise EmbeddingError(
             f"outer walk {tuple(outer)} is not the face of its first dart"
         )

@@ -186,7 +186,7 @@ def test_four_coloring_proper_on_random(n, seed):
 
 def test_four_coloring_is_pinned():
     # Digest taken when the search was recursive and rescanned every
-    # vertex for the most saturated one; the heap must pick in that order.
+    # vertex for the most saturated one; the search must pick in that order.
     graphs = [k4(), octahedron(), icosahedron()]
     for n in range(4, 61):
         for s in (1, 2, 3):
@@ -200,6 +200,20 @@ def test_four_coloring_is_pinned():
     assert digest.hexdigest() == (
         "1784527dddd7f6974ad52d69ca10b44fbefa42d321cf91c7c1ddc2c3568348d4"
     )
+
+
+def test_search_budget_is_pinned(monkeypatch):
+    # random_triangulation(200, 5) exhausts the budget and is colored by the
+    # Kempe fallback; seed 7 succeeds after exactly 2,964 vertex choices
+    g = random_triangulation(200, 5)
+    nbrs = [g.neighbors(v) for v in g.vertices()]
+    assert coloring._dsatur(nbrs) is None
+    assert four_coloring(g).colors == tuple(coloring._kempe_insertion(nbrs))
+    h = random_triangulation(200, 7)
+    nbrs = [h.neighbors(v) for v in h.vertices()]
+    assert coloring._dsatur(nbrs) is not None
+    monkeypatch.setattr(coloring, "_SEARCH_NODES", 2963)
+    assert coloring._dsatur(nbrs) is None
 
 
 def test_four_coloring_scales():

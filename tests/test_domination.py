@@ -66,7 +66,7 @@ def relabeled(g, seed):
     rot = [[] for _ in perm]
     for v in g.vertices():
         rot[perm[v]] = [perm[u] for u in g.rotation(v)]
-    a, b = g.outer_face.boundary[:2]
+    a, b = g.outer_face[:2]
     return PlaneGraph(rot, outer_dart=(perm[a], perm[b]))
 
 
@@ -359,7 +359,7 @@ def test_accounting_catches_misplaced_holes(monkeypatch, n, seed, row):
     c = four_coloring(g)
     r = class_combinator(g, c)
     s = r.union_s
-    walk = g.outer_face.boundary
+    walk = g.outer_face
     x = sorted(s - set(walk))
     assert x and (row != "x_holes_distinct" or len(x) > 1)
     assert row != "y_holes_outer" or s & set(walk)

@@ -342,7 +342,7 @@ def test_near_triangulation_from_octahedron():
     h, relabel = near_triangulation_from(g, 3)
     assert h.n == 5
     assert classify(h).category is Category.NEAR_TRIANGULATION
-    assert h.outer_face.degree == 4
+    assert len(h.outer_face) == 4
     assert set(relabel.keys()) == {0, 1, 2, 4, 5}
     with pytest.raises(ValueError):
         near_triangulation_from(h, 0)  # not a triangulation any more

@@ -1,13 +1,16 @@
+import gc
 import hashlib
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domtri import plane_graph
 from domtri.generators import (
     diamond_chain,
     diamond_chain_witness,
@@ -63,9 +66,18 @@ def test_k4_structure():
     assert g.n == 4
     assert g.edge_count == 6
     assert len(g.faces) == 4
-    assert all(f.degree == 3 for f in g.faces)
+    assert all(len(w) == 3 for w in g.faces)
     assert g.degrees() == (3, 3, 3, 3)
-    assert g.outer_face.boundary in {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+    assert g.outer_face in {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+
+
+def test_classify_computes_once_per_graph(monkeypatch):
+    calls = []
+    real = plane_graph._classify
+    monkeypatch.setattr(plane_graph, "_classify", lambda g: calls.append(g) or real(g))
+    g = PlaneGraph(K4_ROT)
+    assert classify(g) is classify(g)
+    assert calls == [g]
 
 
 def test_k4_classification():
@@ -102,7 +114,7 @@ def test_malformed_rotations_rejected():
 
 def test_outer_hints():
     g = PlaneGraph(K4_ROT, outer_dart=(1, 2))
-    assert set(g.outer_face.boundary) == {0, 1, 2}
+    assert set(g.outer_face) == {0, 1, 2}
     assert g.outer_face_id == g.face_of_dart(1, 2)
     with pytest.raises(EmbeddingError, match="not present"):
         PlaneGraph(K4_ROT, outer_dart=(0, 0))
@@ -117,7 +129,7 @@ def test_outer_hints():
 def test_hex_disk_faces():
     g = hex_disk()
     assert face_degree_histogram(g) == {3: 4, 6: 1}
-    assert g.outer_face.degree == 6
+    assert len(g.outer_face) == 6
     cls = classify(g)
     assert cls.category is Category.NEAR_TRIANGULATION
     assert cls.is_two_connected
@@ -203,17 +215,17 @@ def test_delete_vertex_from_octahedron_leaves_square_hole():
     assert sorted(h.degrees()) == [3, 3, 3, 3, 4]
     # the old outer triangle is kept; the hole is an inner 4-face, so
     # under this rooting the result is not a near triangulation
-    assert h.outer_face.degree == 3
+    assert len(h.outer_face) == 3
     assert face_degree_histogram(h) == {3: 4, 4: 1}
     assert classify(h).category is Category.CONNECTED_PLANE
 
 
 def test_delete_preserves_outer_when_untouched():
     g = octahedron()
-    outer_before = set(g.outer_face.boundary)
+    outer_before = set(g.outer_face)
     inner = next(v for v in g.vertices() if v not in outer_before)
     h, relabel = delete_vertices(g, {inner})
-    assert {relabel[v] for v in outer_before} == set(h.outer_face.boundary)
+    assert {relabel[v] for v in outer_before} == set(h.outer_face)
 
 
 def test_delete_vertices_outputs_are_pinned():
@@ -241,7 +253,7 @@ def test_delete_vertices_outputs_are_pinned():
         sets += [set(rng.sample(range(g.n), k)) for k in (2, 3) for _ in range(5)]
         # two outer vertices take every dart of an outer triangle, so the
         # outer region has to be followed through them
-        a, b = g.outer_face.boundary[:2]
+        a, b = g.outer_face[:2]
         sets += [{a, b, v} for v in g.vertices() if v not in (a, b)]
         for s in sets:
             h, relabel = delete_vertices(g, s)
@@ -265,21 +277,21 @@ def test_deletion_placement_interior():
     # An interior vertex's hole dart names an inner face of H = G - v,
     # here the icosahedron's pentagonal hole.
     g = icosahedron()
-    outer = set(g.outer_face.boundary)
+    outer = set(g.outer_face)
     v = next(u for u in g.vertices() if u not in outer)
     a, b = deleted_vertex_region_dart(g, v)
     assert v not in (a, b)
     h, relabel = delete_vertices(g, {v})
     fid = h.face_of_dart(relabel[a], relabel[b])
     assert fid != h.outer_face_id
-    assert h.faces[fid].degree == 5
-    assert set(h.faces[fid].boundary) == {relabel[u] for u in g.neighbors(v)}
+    assert len(h.faces[fid]) == 5
+    assert set(h.faces[fid]) == {relabel[u] for u in g.neighbors(v)}
 
 
 def test_deletion_placement_boundary():
     # An outer vertex's hole dart names the outer face of H.
     g = k4()
-    v = g.outer_face.boundary[0]
+    v = g.outer_face[0]
     a, b = deleted_vertex_region_dart(g, v)
     h, relabel = delete_vertices(g, {v})
     assert h.face_of_dart(relabel[a], relabel[b]) == h.outer_face_id
@@ -289,7 +301,7 @@ def test_edgeless_maps_have_one_empty_face():
     for n in (1, 2):
         g = PlaneGraph([[]] * n)
         assert g.component_count == n
-        assert [f.boundary for f in g.faces] == [()]
+        assert list(g.faces) == [()]
     assert classify(PlaneGraph([[], []])).category is Category.INVALID
     h, _ = delete_vertices(PlaneGraph([[1, 2, 3], [0], [0], [0]]), {0})
     assert (h.n, h.edge_count, h.component_count) == (3, 0, 3)
@@ -357,13 +369,13 @@ def flipped(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
     """g with edge uv flipped by the rotation-list flip of the walk."""
     rot = [list(r) for r in g.rotations]
     _flip(rot, u, v)
-    ob = g.outer_face.boundary
+    ob = g.outer_face
     return PlaneGraph(rot, outer_dart=(ob[0], ob[1]))
 
 
 def test_k4_has_no_flippable_edge():
     g = k4()
-    outer = set(g.outer_face.boundary)
+    outer = set(g.outer_face)
     hub = next(v for v in g.vertices() if v not in outer)
     for u in g.neighbors(hub):
         rot = [list(r) for r in g.rotations]
@@ -374,7 +386,7 @@ def test_k4_has_no_flippable_edge():
 
 def test_flip_is_an_involution_on_octahedron():
     g = octahedron()
-    outer = set(g.outer_face.boundary)
+    outer = set(g.outer_face)
     u, v = next(
         (a, b)
         for a, b in g.edges()
@@ -385,8 +397,8 @@ def test_flip_is_an_involution_on_octahedron():
     h = flipped(g, u, v)
     assert classify(h).category is Category.PLANAR_TRIANGULATION
     assert not h.has_edge(u, v)
-    x = next(w for w in g.faces[g.face_of_dart(u, v)].boundary if w not in (u, v))
-    y = next(w for w in g.faces[g.face_of_dart(v, u)].boundary if w not in (u, v))
+    x = next(w for w in g.faces[g.face_of_dart(u, v)] if w not in (u, v))
+    y = next(w for w in g.faces[g.face_of_dart(v, u)] if w not in (u, v))
     assert flipped(h, x, y) == g
 
 
@@ -448,12 +460,12 @@ def test_graph_equality_and_hash():
     # no dart, next to a dart that is not the first of the same face
     for g in (hex_disk(), random_triangulation(30, 2)):
         plain = PlaneGraph(g.rotations)
-        walk = plain.outer_face.boundary
+        walk = plain.outer_face
         darted = PlaneGraph(g.rotations, outer_dart=(walk[1], walk[2]))
         assert plain == darted
         assert hash(plain) == hash(darted)
-    other_face = next(f for f in a.faces if f.id != a.outer_face_id)
-    c = PlaneGraph(K4_ROT, outer_dart=other_face.boundary[:2])
+    other_face = next(w for f, w in enumerate(a.faces) if f != a.outer_face_id)
+    c = PlaneGraph(K4_ROT, outer_dart=other_face[:2])
     assert a != c
 
 
@@ -471,6 +483,30 @@ def test_random_triangulation_counts(n, seed):
 def test_pgr_round_trip_random(n, seed):
     g = random_triangulation(n, seed)
     assert parse_pgr(to_pgr(g)) == g
+
+
+def test_faces_and_dart_map_leave_the_cyclic_gc():
+    # tuples of ints are untracked by a collection; a NamedTuple never is
+    g = random_triangulation(60, 1)
+    gc.collect()
+    assert all(type(w) is tuple and not gc.is_tracked(w) for w in g.faces)
+    assert all(type(r) is tuple and not gc.is_tracked(r) for r in g._dart_face)
+
+
+def test_stored_map_retains_little_memory():
+    text = to_pgr(random_triangulation(200, 5))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = parse_pgr(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert g.n == 200
+    # a Face NamedTuple per face and a dart dict per vertex retained 247 KB
+    assert retained < 200_000
 
 
 # -- face tracing against a reference ----------------------------------------
@@ -504,12 +540,9 @@ def assert_faces_match_reference(g):
     orbits = reference_face_orbits(g.rotations)
     walks = [tuple(u for u, _ in orbit) for orbit in orbits] or [()]
     # each walk starts at its smallest dart, so it is its own smallest rotation
-    for f in g.faces:
-        w = f.boundary
+    for w in g.faces:
         assert w == min((w[i:] + w[:i] for i in range(len(w))), default=w)
-    assert [(f.id, f.boundary, f.degree) for f in g.faces] == [
-        (i, w, len(w)) for i, w in enumerate(walks)
-    ]
+    assert list(g.faces) == walks
     for i, orbit in enumerate(orbits):
         for u, v in orbit:
             assert g.face_of_dart(u, v) == i
@@ -544,7 +577,7 @@ def tracing_grid():
 def test_face_tracing_matches_reference():
     grid = tracing_grid()
     # the grid reaches faces whose walk repeats a vertex (cut vertices)
-    assert any(len(set(f.boundary)) < f.degree for g in grid for f in g.faces)
+    assert any(len(set(w)) < len(w) for g in grid for w in g.faces)
     assert any(not g.is_connected for g in grid)
     for g in grid:
         assert_faces_match_reference(g)

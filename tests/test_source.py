@@ -75,6 +75,32 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     ]
 
 
+GC_SETTINGS = {"disable", "freeze", "set_threshold"}
+
+
+def gc_setting_calls(source: str) -> list[str]:
+    """Calls that change the interpreter-wide garbage collector settings,
+    through the module (also under an alias) or a name imported from it."""
+    tree = ast.parse(source)
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "gc"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            names |= {a.asname or a.name: a.name for a in node.names}
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+            if f.value.id in modules:
+                calls.append(f"gc.{f.attr}")
+        elif isinstance(f, ast.Name) and f.id in names:
+            calls.append(f"gc.{names[f.id]}")
+    return [c for c in calls if c.removeprefix("gc.") in GC_SETTINGS]
+
+
 def test_unused_import_scan_sees_its_cases():
     source = (
         "from __future__ import annotations\n"
@@ -96,6 +122,22 @@ def test_unread_private_name_scan_sees_its_cases():
     b = "import a\nfrom a import _f, _g\n_g()\nprint(a._B)\n"
     # _f is only imported, _D only stored; the local _h is not top level
     assert unread_private_names({"a": a, "b": b}) == ["a:_D", "a:_f"]
+
+
+def test_gc_setting_scan_sees_its_cases():
+    source = (
+        "import gc\nimport gc as collector\nfrom gc import freeze as f, collect\n"
+        "gc.collect()\ngc.disable()\ncollector.set_threshold(10)\nf()\ncollect()\n"
+        "other.disable()\n"
+    )
+    assert gc_setting_calls(source) == ["gc.disable", "gc.set_threshold", "gc.freeze"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_leaves_gc_settings_alone(path):
+    # less garbage-collector pressure comes from allocating less, not from
+    # changing the host interpreter's collector
+    assert gc_setting_calls(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
