@@ -81,28 +81,18 @@ def undominated_by(g: PlaneGraph, c: Coloring, i: int) -> frozenset[int]:
     return frozenset(g.vertices()) - closed_neighborhood(g, c.class_members(i))
 
 
-def greedy_maximal_independent(adj) -> frozenset[int]:
-    """Maximal independent set of an abstract graph given as a vertex ->
-    neighbors mapping, scanning vertices in ascending id."""
+def greedy_independent(g: PlaneGraph, vs) -> frozenset[int]:
+    """Maximal independent set of G[vs], scanning vs in ascending id."""
     chosen: set[int] = set()
-    blocked: set[int] = set()
-    for v in sorted(adj):
-        if v in blocked or v in chosen:
-            continue
-        chosen.add(v)
-        blocked.update(adj[v])
+    for v in sorted(vs):
+        if chosen.isdisjoint(g.neighbors(v)):
+            chosen.add(v)
     return frozenset(chosen)
 
 
-def _induced_adjacency(g: PlaneGraph, vs: frozenset[int]) -> dict[int, set[int]]:
-    return {v: {u for u in g.neighbors(v) if u in vs} for v in vs}
-
-
 def _in_triangle(g: PlaneGraph, v: int) -> bool:
-    nbrs = g.rotation(v)
-    return any(
-        g.has_edge(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :]
-    )
+    nbrs = g.neighbors(v)
+    return any(not nbrs.isdisjoint(g.neighbors(a)) for a in nbrs)
 
 
 def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
@@ -131,9 +121,7 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
             )
         chosen, union_s = members[best], frozenset()
     else:
-        s_sets = [
-            greedy_maximal_independent(_induced_adjacency(g, u)) for u in u_sets
-        ]
+        s_sets = [greedy_independent(g, u) for u in u_sets]
         candidates = [members[i] | s_sets[i] for i in range(c.k)]
         for i, cand in enumerate(candidates):
             if not (is_dominating(g, cand) and is_independent(g, cand)):
@@ -170,29 +158,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _Budget:
-    """One oracle call's limits: an oversized graph is refused at once,
-    and `tick` counts a search node at the given depth."""
-
-    def __init__(self, g: PlaneGraph, limit: OracleLimit, what: str):
-        if g.n > limit.max_vertices:
-            raise OracleLimitExceeded(
-                f"{what} oracle limited to n <= {limit.max_vertices}, got {g.n}"
-            )
-        self.limit, self.what, self.nodes = limit, what, 0
-
-    def tick(self, depth: int):
-        self.nodes += 1
-        if self.nodes > self.limit.max_nodes:
-            raise OracleLimitExceeded(
-                f"{self.what} oracle exceeded {self.limit.max_nodes} nodes"
-            )
-        if depth > _MAX_DEPTH:
-            raise OracleLimitExceeded(
-                f"{self.what} oracle search exceeded {_MAX_DEPTH} chosen vertices"
-            )
-
-
 def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationResult:
     """The branch and bound behind both oracles (see `exact_gamma`).  Each
     later branch bars the dominators tried before it, and with
@@ -200,14 +165,17 @@ def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationR
     bound is sound because pairwise-disjoint dominator sets each need
     their own chosen vertex."""
     what = "iota" if independent else "gamma"
-    budget = _Budget(g, limit, what)
     n = g.n
+    if n > limit.max_vertices:
+        raise OracleLimitExceeded(
+            f"{what} oracle limited to n <= {limit.max_vertices}, got {n}"
+        )
     nbr, closed = _masks(g)
     full = (1 << n) - 1
     bars = nbr if independent else [0] * n  # what choosing w makes unavailable
 
     if independent:
-        best_mask = sum(1 << v for v in greedy_maximal_independent(g.adjacency()))
+        best_mask = sum(1 << v for v in greedy_independent(g, g.vertices()))
     else:
         # greedy cover: repeatedly take the vertex covering the most
         # still-undominated vertices (ties to the lower id)
@@ -217,10 +185,17 @@ def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationR
             best_mask |= 1 << w
             dom |= closed[w]
     best = best_mask.bit_count()
+    nodes = 0
 
     def rec(s_mask, barred, d_mask, size):
-        nonlocal best, best_mask
-        budget.tick(size)
+        nonlocal best, best_mask, nodes
+        nodes += 1
+        if nodes > limit.max_nodes:
+            raise OracleLimitExceeded(f"{what} oracle exceeded {limit.max_nodes} nodes")
+        if size > _MAX_DEPTH:
+            raise OracleLimitExceeded(
+                f"{what} oracle search exceeded {_MAX_DEPTH} chosen vertices"
+            )
         if d_mask == full:
             if size < best:
                 best, best_mask = size, s_mask
@@ -251,10 +226,7 @@ def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationR
 
     rec(0, 0, 0, 0)
     return DominationResult(
-        vertices=frozenset(_bits(best_mask)),
-        size=best,
-        method=f"exact_{what}",
-        nodes=budget.nodes,
+        vertices=frozenset(_bits(best_mask)), size=best, method=f"exact_{what}", nodes=nodes
     )
 
 

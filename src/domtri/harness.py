@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -192,6 +192,8 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     for part in raw.split(","):
         part = part.strip()
         if ".." in part:
+            if part.count("..") != 1:
+                raise ValueError(f"range {part!r} is not of the form lo..hi")
             lo, hi = part.split("..")
             span = range(int(lo), int(hi) + 1)
             if not span:
@@ -202,6 +204,19 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     if not out:
         raise ValueError(f"no integers in {raw!r}")
     return tuple(out)
+
+
+def _once(what: str, items: tuple) -> tuple:
+    """items, unless some are listed twice: their reports would share graph ids."""
+    repeated = sorted(v for v, k in Counter(items).items() if k > 1)
+    if repeated:
+        raise ValueError(f"{what} listed twice: {repeated}")
+    return items
+
+
+def _parse_sizes(raw: str) -> tuple[int, ...]:
+    """A size list whose sizes name graphs (`diamond-k2`): no size twice."""
+    return _once("sizes", _parse_ints(raw))
 
 
 def _parse_count(raw: str) -> int:
@@ -221,13 +236,14 @@ def _parse_key(key: str, parse: Callable[[str], object], raw: str):
 
 
 def _parse_pairs(raw: str) -> tuple[tuple[int, int], ...]:
-    """Accepts 'n:seed' pairs separated by commas; empty means none."""
+    """Accepts distinct 'n:seed' pairs separated by commas; empty means none."""
     out = []
-    for part in raw.split(","):
-        if part.strip():
-            a, b = part.split(":")
-            out.append((int(a), int(b)))
-    return tuple(out)
+    for part in filter(None, (p.strip() for p in raw.split(","))):
+        if part.count(":") != 1:
+            raise ValueError(f"pair {part!r} is not of the form n:seed")
+        a, b = part.split(":")
+        out.append((int(a), int(b)))
+    return _once("pairs", tuple(out))
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
@@ -252,9 +268,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     unknown = [f for f in fams if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families: {unknown}")
-    repeated = sorted({f for f in fams if fams.count(f) > 1})
-    if repeated:
-        raise ValueError(f"families listed twice: {repeated}")
+    _once("families", fams)
     iota_max = take("iota_max_n", str(IOTA_LIMIT.max_vertices), _parse_count)
     gamma_max = take("gamma_max_n", str(GAMMA_LIMIT.max_vertices), _parse_count)
     timings_raw = (take("timings", "off") or "off").lower()
@@ -352,24 +366,23 @@ def _alpha_checks(ctx: _Ctx, g: PlaneGraph, c: Coloring, res: DominationResult):
         ctx.rec("all_odd_classes_dominating", rec.non_dominating_classes, 0, "<=", "invariant")
 
 
+def _exact(oracle, g: PlaneGraph, cap: int) -> DominationResult | None:
+    """oracle(g) under a vertex cap, or None past the cap or its budget."""
+    try:
+        return oracle(g, OracleLimit(cap)) if g.n <= cap else None
+    except OracleLimitExceeded:
+        return None
+
+
 def _oracle_checks(ctx: _Ctx, g: PlaneGraph, cls, res: DominationResult | None):
     n = g.n
-    iota = gamma = None
-    if n <= ctx.cfg.iota_max_n:
-        try:
-            iota = exact_iota(g, OracleLimit(ctx.cfg.iota_max_n))
-        except OracleLimitExceeded:
-            iota = None
+    iota = _exact(exact_iota, g, ctx.cfg.iota_max_n)
     if iota is not None:
         if res is not None:
             ctx.rec("iota_le_combinator", iota.size, res.size, "<=", "invariant")
         if cls.category is Category.PLANAR_TRIANGULATION:
             ctx.rec("conjecture_iota_n3", iota.size, Fraction(n, 3), "<=", "conjecture")
-    if n <= ctx.cfg.gamma_max_n:
-        try:
-            gamma = exact_gamma(g, OracleLimit(ctx.cfg.gamma_max_n))
-        except OracleLimitExceeded:
-            gamma = None
+    gamma = _exact(exact_gamma, g, ctx.cfg.gamma_max_n)
     if gamma is not None:
         if iota is not None:
             ctx.rec("gamma_le_iota", gamma.size, iota.size, "<=", "invariant")
@@ -527,8 +540,8 @@ class Family:
         return {
             "fixed": {},
             "count": {self.size: _parse_ints, "count": _parse_count},
-            "sizes": {self.size: _parse_ints},
-            "grid": {self.size: _parse_ints, "seeds": _parse_count},
+            "sizes": {self.size: _parse_sizes},
+            "grid": {self.size: _parse_sizes, "seeds": _parse_count},
             "pairs": {"instances": _parse_pairs},
         }[self.plan]
 
@@ -780,11 +793,10 @@ def emit(
     stem: str | Path,
     include_timings: bool = False,
 ) -> list[Path]:
-    """Write the tabular (.tsv) and structured (.jsonl) report files."""
+    """Write the tabular <stem>.tsv and structured <stem>.jsonl report files."""
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
-    tsv = stem.with_suffix(".tsv")
-    jsonl = stem.with_suffix(".jsonl")
+    tsv, jsonl = Path(f"{stem}.tsv"), Path(f"{stem}.jsonl")  # a stem may hold a dot
     tsv.write_text(render_table(reports, include_timings))
     jsonl.write_text(
         "".join(rep.to_json(include_timings) + "\n" for rep in reports)

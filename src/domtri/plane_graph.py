@@ -253,9 +253,6 @@ class PlaneGraph:
         u's neighbor set.  The flip walk draws edges by index in this order."""
         return [(u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if u < v]
 
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        return {v: self._adj[v] for v in range(self.n)}
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"unknown vertex {v}")

@@ -539,6 +539,19 @@ def test_sweep_and_audit(tmp_path, capsys):
     assert "counterexample candidates" in out
 
 
+def test_sweep_dotted_stems_keep_their_own_files(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(TINY_CONFIG)
+    for name in ("seed.1", "seed.2"):
+        stem = tmp_path / "r" / name
+        code, out, _ = run(capsys, "sweep", "-c", str(cfg), "-o", str(stem))
+        assert code == 0
+        assert out.splitlines()[0].endswith(f"-> {stem}.tsv, {stem}.jsonl")
+    assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+        "seed.1.jsonl", "seed.1.tsv", "seed.2.jsonl", "seed.2.tsv",
+    ]
+
+
 def test_sweep_notes_conjecture_exceedances(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("families = octahedron\nout = " + str(tmp_path / "r") + "\n")
@@ -573,17 +586,19 @@ def test_sweep_bad_config_is_usage_error(tmp_path, capsys):
     assert "config error" in err
     code, _, err = run(capsys, "sweep", "-c", str(tmp_path / "missing.cfg"))
     assert code == 2
-    for bad in (
-        "random.cout = 3",
-        "random.count = abc",
-        "all_odd.instances = 8",
-        "seed = abc",
-        "random.count = -3",
+    for bad, form in (
+        ("random.cout = 3", ""),
+        ("random.count = abc", ""),
+        ("all_odd.instances = 8", "pair '8' is not of the form n:seed"),
+        ("random.n = 1..2..3", "range '1..2..3' is not of the form lo..hi"),
+        ("seed = abc", ""),
+        ("random.count = -3", ""),
     ):
         cfg.write_text(f"families = random, all_odd\n{bad}\n")
         code, out, err = run(capsys, "sweep", "-c", str(cfg))
         assert code == 2 and out == ""
         assert err.startswith("config error:") and bad.split()[0] in err
+        assert form in err and "unpack" not in err
 
 
 def test_sweep_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from domtri.domination import (
     class_combinator,
     exact_gamma,
     exact_iota,
-    greedy_maximal_independent,
+    greedy_independent,
     is_dominating,
     is_independent,
     undominated_by,
@@ -170,8 +170,23 @@ def test_check_chain_checks_properness_twice(monkeypatch, build, fallback):
 
 
 def test_greedy_independent_order():
-    path = {0: {1}, 1: {0, 2}, 2: {1}}
-    assert greedy_maximal_independent(path) == frozenset({0, 2})
+    path = PlaneGraph([[1], [0, 2], [1]])
+    assert greedy_independent(path, path.vertices()) == frozenset({0, 2})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(5, 16), seed=st.integers(0, 10_000), mask=st.integers(0, 2**16 - 1)
+)
+def test_greedy_independent_is_ascending_maximal(n, seed, mask):
+    g = near_triangulation_from(random_triangulation(n, seed), seed % n)[0]
+    vs = frozenset(v for v in g.vertices() if mask >> v & 1)
+    s = greedy_independent(g, vs)
+    assert s <= vs
+    assert is_independent(g, s)
+    for v in vs - s:  # maximal in G[vs], blocked by an earlier pick
+        assert g.neighbors(v) & s
+        assert min(g.neighbors(v) & s) < v
 
 
 def test_exact_iota_fixed_values():
@@ -234,6 +249,33 @@ def test_oracle_search_stays_small():
         assert 0 < iota.nodes <= limit.max_nodes and 0 < gamma.nodes <= limit.max_nodes
         assert is_independent(g, iota.vertices) and is_dominating(g, iota.vertices)
         assert is_dominating(g, gamma.vertices)
+
+
+# (size, sorted vertices, nodes) of exact_iota and exact_gamma; any change
+# to the search's branching order, bound or node count moves these.
+ORACLE_PINS = [
+    (icosahedron, (2, [0, 9], 11), (2, [0, 9], 1)),
+    (lambda: diamond_chain(3), (6, [0, 5, 6, 9, 10, 17], 127), (5, [0, 2, 10, 14, 15], 92)),
+    (lambda: k4_chain(5)[0], (5, [0, 4, 10, 15, 17], 1), (5, [0, 4, 8, 14, 16], 1)),
+    (lambda: random_triangulation(22, 1), (4, [3, 13, 15, 16], 20), (4, [1, 2, 4, 6], 24)),
+    (
+        lambda: near_triangulation_from(random_triangulation(28, 3), 9)[0],
+        (4, [12, 20, 22, 24], 25),
+        (4, [12, 18, 22, 24], 33),
+    ),
+]
+
+
+@pytest.mark.parametrize("build,iota_pin,gamma_pin", ORACLE_PINS)
+def test_oracle_search_is_pinned(build, iota_pin, gamma_pin):
+    g = build()
+    for oracle, pin in ((exact_iota, iota_pin), (exact_gamma, gamma_pin)):
+        r = oracle(g, OracleLimit(max_vertices=g.n))
+        assert (r.size, sorted(r.vertices), r.nodes) == pin
+        # the budget admits exactly the nodes the search visits
+        assert oracle(g, OracleLimit(g.n, max_nodes=r.nodes)).nodes == r.nodes
+        with pytest.raises(OracleLimitExceeded, match=f"exceeded {r.nodes - 1} nodes"):
+            oracle(g, OracleLimit(g.n, max_nodes=r.nodes - 1))
 
 
 def test_oracle_vertex_limit():

@@ -162,6 +162,25 @@ def test_parse_config_rejects_bad_input():
     assert zero.get_int("random.count", 200) == 0
 
 
+@pytest.mark.parametrize(
+    "line,error",
+    [
+        ("diamond.k = 2, 2", r"^diamond.k: sizes listed twice: \[2\]"),
+        ("eulerian.t = 1, 1", r"^eulerian.t: sizes listed twice: \[1\]"),
+        ("min_degree5.n = 12, 12..14", r"^min_degree5.n: sizes listed twice: \[12\]"),
+        ("all_odd.instances = 8:5, 8:5", r"^all_odd.instances: pairs listed twice: \[\(8, 5\)\]"),
+    ],
+)
+def test_parse_config_rejects_repeated_graph_ids(line, error):
+    # each of these would give two reports one graph_id
+    fams = "families = diamond, eulerian, min_degree5, all_odd, random\n"
+    with pytest.raises(ValueError, match=error):
+        parse_sweep_config(fams + line + "\n")
+    # count families index their graphs, so their sizes may repeat
+    cfg = parse_sweep_config(fams + "random.n = 8, 8\nall_odd.instances = 8:5, 8:6\n")
+    assert cfg.get_ints("random.n", ()) == (8, 8)
+
+
 def test_config_serialize_round_trip():
     full = parse_sweep_config((ROOT / "configs" / "full.cfg").read_text())
     # the benchmark's sweep writes full.cfg back out with these two replaced
