@@ -3,8 +3,8 @@
 Exit codes: 0 when every requested check holds, 1 when a bound or
 invariant fails (or an oracle/coloring reports a breach), 2 for usage
 errors and for coloring, trace or report files that cannot be read, do
-not parse or do not fit their graph.  DOMTRI_SEED overrides the default
-seed of `gen` and `sweep`.
+not parse or do not fit their graph.  DOMTRI_SEED overrides any seed of
+`gen` and `sweep`: the default, an explicit `--seed` or the config's `seed`.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _cmd_gen(args) -> int:
     if fam.flips:
         params["flips"] = args.flips
     try:
-        g, extra = fam.build(seed, **params)
+        g, trace = fam.build(seed, **params)
     except EmbeddingError:
         raise
     except ValueError as exc:  # the builders' range checks on the size
@@ -116,12 +116,12 @@ def _cmd_gen(args) -> int:
         size = params[fam.size]
         print(f"no {args.family} graph found at {fam.size}={size}", file=sys.stderr)
         return 1
-    if args.trace and "trace" not in extra:
+    if args.trace and trace is None:
         raise UsageError(f"family {args.family} has no build trace")
 
     _write_out(to_pgr(g), args.output)
     if args.trace:
-        Path(args.trace).write_text(extra["trace"].to_json() + "\n")
+        Path(args.trace).write_text(trace.to_json() + "\n")
     return 0
 
 

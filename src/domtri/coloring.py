@@ -51,12 +51,14 @@ class Coloring:
     @staticmethod
     def from_text(text: str) -> "Coloring":
         pairs, k = {}, None
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             if raw.startswith("# coloring k="):  # else k is the largest class + 1
                 k = int(raw.removeprefix("# coloring k="))
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            if len(line.split()) != 2:
+                raise ValueError(f"line {lineno}: {line!r} is not of the form `vertex class`")
             v, c = map(int, line.split())
             if v in pairs:
                 raise ValueError(f"vertex {v} colored twice")
@@ -252,21 +254,6 @@ def _kempe_swap(nbrs, colors, u, b):
                 todo.append(y)
     for x in chain:
         colors[x] = a + b - colors[x]
-
-
-def stacked_four_coloring(trace: BuildTrace) -> Coloring:
-    """Canonical 4-coloring of a stacked triangulation: the base triangle
-    gets classes 0, 1, 2 and every stacked vertex gets the one class its
-    three face neighbors do not use.  Every class is dominating: each
-    vertex of the final graph lies in some stacking triangle, whose four
-    involved vertices carry all four classes."""
-    if trace.family != "three_tree" or any(s.kind != "stack" for s in trace.steps):
-        raise ValueError("stacked coloring needs a pure stacking trace")
-    colors = [0, 1, 2]
-    for s in trace.steps:
-        used = {colors[v] for v in s.face}
-        colors.append(min(set(range(4)) - used))
-    return Coloring(4, tuple(colors))
 
 
 def rec_eulerian_six_coloring(g: PlaneGraph, trace: BuildTrace) -> Coloring:

@@ -84,6 +84,7 @@ class BuildTrace:
 
 _TRIANGLE_ROT = [[1, 2], [2, 0], [0, 1]]  # outer walk (0, 1, 2)
 _TRIANGLE_INNER = (0, 2, 1)  # its one inner face
+_OUTER_WALKS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # insertions never touch it
 
 
 def _stack(rot, walk, w):
@@ -249,12 +250,23 @@ def recursive_eulerian(t: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
     return PlaneGraph(rot, outer_dart=(0, 1)), BuildTrace("recursive_eulerian", steps)
 
 
+def _inner_face(rot, walk) -> bool:
+    """Whether walk is (x, y, z), the face of dart (x, y) in the lists rot
+    (z follows x in the rotation at y), and not the outer face."""
+    if len(walk) != 3 or any(type(v) is not int or not 0 <= v < len(rot) for v in walk):
+        return False
+    x, y, z = walk
+    return x in rot[y] and _after(rot, x, y) == z and tuple(walk) not in _OUTER_WALKS
+
+
 def replay(trace: BuildTrace) -> PlaneGraph:
     """Rebuild the plane graph a BuildTrace describes."""
     rot = [list(r) for r in _TRIANGLE_ROT]
-    for s in trace.steps:
+    for i, s in enumerate(trace.steps):
         if list(s.new) != list(range(len(rot), len(rot) + len(s.new))):
             raise ValueError(f"step {s} must add the next unused ids from {len(rot)}")
+        if not _inner_face(rot, s.face):
+            raise ValueError(f"step {i} face {list(s.face)} is not an inner face so far")
         _STEPS[s.kind][0](rot, s.face, *s.new)
     return PlaneGraph(rot, outer_dart=(0, 1))
 

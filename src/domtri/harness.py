@@ -26,7 +26,6 @@ from .coloring import (
     is_proper,
     is_r_dynamic,
     rec_eulerian_six_coloring,
-    stacked_four_coloring,
 )
 from .domination import (
     GAMMA_LIMIT,
@@ -43,6 +42,7 @@ from .domination import (
     verify_combinator_accounting,
 )
 from .generators import (
+    BuildTrace,
     diamond_chain,
     diamond_chain_witness,
     icosahedron,
@@ -328,16 +328,17 @@ def _structure_checks(ctx: _Ctx, g: PlaneGraph, cls) -> None:
         ctx.rec("face_count_2n_minus_4", len(g.faces), 2 * g.n - 4, "==", "invariant")
 
 
-def _combinator_checks(ctx: _Ctx, g: PlaneGraph, cls) -> DominationResult | None:
+def _combinator_checks(ctx: _Ctx, g: PlaneGraph, cls):
+    """(4-coloring, combinator result); (None, None) off near/planar maps or on failure."""
     if cls.category not in NEAR_OR_PLANAR:
-        return None
+        return None, None
     n = g.n
     try:
         c = four_coloring(g)
         res = class_combinator(g, c)
     except (InvariantBreach, ColoringLimitExceeded) as exc:
         ctx.errors.append(f"combinator: {exc}")
-        return None
+        return None, None
     ctx.rec("combinator_near_5n12", res.size, Fraction(5 * n, 12))
     if cls.category is Category.PLANAR_TRIANGULATION:
         ctx.rec("combinator_planar_3n8", res.size, Fraction(3 * n, 8), "<")
@@ -350,7 +351,7 @@ def _combinator_checks(ctx: _Ctx, g: PlaneGraph, cls) -> DominationResult | None
         ctx.errors.append(f"accounting: {exc}")
     if cls.category is Category.PLANAR_TRIANGULATION:
         _alpha_checks(ctx, g, c, res)
-    return res
+    return c, res
 
 
 def _alpha_checks(ctx: _Ctx, g: PlaneGraph, c: Coloring, res: DominationResult):
@@ -393,7 +394,7 @@ def _oracle_checks(ctx: _Ctx, g: PlaneGraph, cls, res: DominationResult | None):
     return iota, gamma
 
 
-def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
+def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
     n = g.n
     v4 = [v for v in g.vertices() if g.degree(v) == 4]
     odd = sum(1 for d in g.degrees() if d % 2)
@@ -407,7 +408,7 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None
             "invariant",
         )
         ctx.rec("deg4_seven_bound", 7 * len(v4), 6 * n - 12, "<=")
-    six = rec_eulerian_six_coloring(g, extra["trace"])
+    six = rec_eulerian_six_coloring(g, trace)
     ctx.rec("six_coloring_proper", 0 if is_proper(g, six) else 1, 0, "<=", "invariant")
     # is_r_dynamic raises on an improper coloring, so the missing classes
     # below are read unchecked.
@@ -450,53 +451,51 @@ def _deg4_triangle_violations(g: PlaneGraph, v4) -> int:
     return bad
 
 
-def _three_tree_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
+def _three_tree_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
     if g.n < 4:  # the stacked bounds start at K4; n = 3 is the bare triangle
         return
-    c = stacked_four_coloring(extra["trace"])
-    sizes = class_sizes(c)
-    # on 4+ vertices all four stacked classes are nonempty and must dominate
-    non_dominating = sum(
-        0 if s and is_dominating(g, c.class_members(i)) else 1
-        for i, s in enumerate(sizes)
-    )
-    ctx.rec("stacked_classes_dominating", non_dominating, 0, "<=", "invariant")
-    ctx.rec("stacked_min_class_n4", min(sizes), Fraction(g.n, 4))
+    # A stacked map's 4-coloring is unique up to renaming (each stacked
+    # vertex takes the class its face misses), so every class meets every
+    # stacking K4 and dominates.  Without c, the `combinator:` error says why.
+    if c is not None:
+        non_dominating = sum(not is_dominating(g, c.class_members(i)) for i in range(4))
+        ctx.rec("stacked_classes_dominating", non_dominating, 0, "<=", "invariant")
+        ctx.rec("stacked_min_class_n4", min(class_sizes(c)), Fraction(g.n, 4))
     if iota is not None:
         ctx.rec("three_tree_iota_n4", iota.size, Fraction(g.n, 4))
 
 
-def _diamond_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
-    wit = extra["witness"]
+def _diamond_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
+    wit = diamond_chain_witness(g.n // 7)  # a chain of k gadgets has 7k vertices
     ok = is_dominating(g, wit) and is_independent(g, wit)
     ctx.rec("diamond_witness_ids", 0 if ok else 1, 0, "<=", "invariant")
     if iota is not None:
         ctx.rec("diamond_iota_2n7", iota.size, Fraction(2 * g.n, 7), "==")
 
 
-def _k4_chain_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
+def _k4_chain_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
     if gamma is not None:
         ctx.rec("k4_chain_gamma_n4", gamma.size, Fraction(g.n, 4), "==")
 
 
-def _min_degree5_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
+def _min_degree5_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
     ctx.rec("min_degree_is_5", min(g.degrees()), 5, "==", "invariant")
 
 
-def _all_odd_checks(ctx: _Ctx, g: PlaneGraph, extra: dict, iota, gamma) -> None:
+def _all_odd_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
     even = sum(1 for d in g.degrees() if d % 2 == 0)
     ctx.rec("degrees_all_odd", even, 0, "<=", "invariant")
 
 
-def _evaluate(ctx: _Ctx, g: PlaneGraph, family: str, extra: dict):
+def _evaluate(ctx: _Ctx, g: PlaneGraph, family: str, trace: BuildTrace | None):
     """Record every check on g in ctx; return g's classification."""
     cls = classify(g)
     _structure_checks(ctx, g, cls)
-    res = _combinator_checks(ctx, g, cls)
+    c, res = _combinator_checks(ctx, g, cls)
     iota, gamma = _oracle_checks(ctx, g, cls, res)
     check = FAMILIES[family].check
     if check is not None:
-        check(ctx, g, extra, iota, gamma)
+        check(ctx, g, trace, c, iota, gamma)
     return cls
 
 
@@ -508,10 +507,10 @@ class Family:
     """One graph family: how to build it, how a sweep plans its corpus,
     and which rows it adds to each report.
 
-    `build(seed, **params)` returns `(graph, extra)`.  The graph is None
-    when a sampler gives up (a sweep skips it, `gen` exits 1), and
-    `extra` may carry the build `trace` or a `witness` set.  `plan` is
-    the corpus shape, read from the `<family>.<key>` config values:
+    `build(seed, **params)` returns `(graph, trace)`.  The graph is None
+    when a sampler gives up (a sweep skips it, `gen` exits 1); the trace
+    is the incremental families' BuildTrace, else None.  `plan` is the
+    corpus shape, read from the `<family>.<key>` config values:
 
     - "fixed": the one graph, seed 0;
     - "count": `count` graphs whose sizes cycle over the size list;
@@ -521,14 +520,14 @@ class Family:
     - "pairs": explicit `n:seed` pairs in `instances`.
     """
 
-    build: Callable[..., tuple[PlaneGraph | None, dict]]
+    build: Callable[..., tuple[PlaneGraph | None, BuildTrace | None]]
     size: str | None = None  # size parameter: "n", "k" or "t"
     plan: str = "fixed"
     sizes: tuple[int, ...] = ()  # default size list
     count: int = 0  # default `count`, or seeds per size for "grid"
     seeded: bool = False
     flips: bool = False  # build takes a flip-walk length (`gen --flips`)
-    check: Callable[..., None] | None = None  # (ctx, g, extra, iota, gamma)
+    check: Callable[..., None] | None = None  # (ctx, g, trace, c, iota, gamma)
 
     @property
     def reads_seed(self) -> bool:
@@ -552,47 +551,43 @@ class Family:
 
 
 def _random(seed, n, flips=None):
-    return random_triangulation(n, seed, flips=flips), {}
+    return random_triangulation(n, seed, flips=flips), None
 
 
 def _near(seed, n, flips=None):
     base = random_triangulation(n, seed, flips=flips)
-    return near_triangulation_from(base, seed % n)[0], {}
-
-
-def _traced(g, trace):
-    return g, {"trace": trace}
+    return near_triangulation_from(base, seed % n)[0], None
 
 
 FAMILIES: dict[str, Family] = {
-    "k4": Family(lambda seed: (k4(), {})),
-    "octahedron": Family(lambda seed: (octahedron(), {})),
-    "icosahedron": Family(lambda seed: (icosahedron(), {})),
+    "k4": Family(lambda seed: (k4(), None)),
+    "octahedron": Family(lambda seed: (octahedron(), None)),
+    "icosahedron": Family(lambda seed: (icosahedron(), None)),
     "random": Family(_random, "n", "count", tuple(range(4, 61)), 200, flips=True),
     "near": Family(_near, "n", "count", tuple(range(5, 61)), 100, flips=True),
     "three_tree": Family(
-        lambda seed, n: _traced(*planar_three_tree(n, seed)),
+        lambda seed, n: planar_three_tree(n, seed),
         "n", "count", tuple(range(4, 41)), 100, check=_three_tree_checks,
     ),
     "eulerian": Family(
-        lambda seed, t: _traced(*recursive_eulerian(t, seed)),
+        lambda seed, t: recursive_eulerian(t, seed),
         "t", "grid", tuple(range(1, 9)), 5, check=_eulerian_checks,
     ),
     "diamond": Family(
-        lambda seed, k: (diamond_chain(k), {"witness": diamond_chain_witness(k)}),
+        lambda seed, k: (diamond_chain(k), None),
         "k", "sizes", (2, 3, 4), check=_diamond_checks,
     ),
     "k4_chain": Family(
-        lambda seed, k: (k4_chain(k)[0], {}),
+        lambda seed, k: (k4_chain(k)[0], None),
         "k", "sizes", (2, 3, 4, 5), check=_k4_chain_checks,
     ),
     "min_degree5": Family(
-        lambda seed, n: (min_degree5_sample(n, seed), {}),
+        lambda seed, n: (min_degree5_sample(n, seed), None),
         "n", "sizes", (12, 14, 16), seeded=True, check=_min_degree5_checks,
     ),
     "all_odd": Family(_random, "n", "pairs", check=_all_odd_checks),
     "plane": Family(
-        lambda seed, n: (random_connected_plane(n, seed), {}),
+        lambda seed, n: (random_connected_plane(n, seed), None),
         "n", "count", tuple(range(5, 35)), 100,
     ),
 }
@@ -637,7 +632,7 @@ def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
             ctx = _Ctx(cfg)
             n, cls = 0, _UNBUILT
             try:
-                g, extra = build(seed, **params)
+                g, trace = build(seed, **params)
             except Exception as exc:  # construction failures are data
                 ctx.errors.append(f"build: {exc}")
             else:
@@ -645,7 +640,7 @@ def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
                     continue
                 n = g.n
                 try:
-                    cls = _evaluate(ctx, g, family, extra)
+                    cls = _evaluate(ctx, g, family, trace)
                 except Exception as exc:
                     ctx.errors.append(f"evaluate: {exc}")
                     cls = classify(g)

@@ -23,7 +23,6 @@ from domtri.coloring import (
     is_r_dynamic,
     missing_colors,
     rec_eulerian_six_coloring,
-    stacked_four_coloring,
 )
 from domtri.domination import (
     class_combinator,
@@ -224,8 +223,8 @@ def test_criterion_05_even_degree_family():
 def test_criterion_06_stacked_classes():
     for i in range(100):
         n = 4 + (i % 37)
-        g, trace = planar_three_tree(n, split_seed(CORPUS_SEED, 5, i))
-        c = stacked_four_coloring(trace)
+        g, _ = planar_three_tree(n, split_seed(CORPUS_SEED, 5, i))
+        c = four_coloring(g)
         assert is_proper(g, c), i
         for k in range(4):
             assert is_dominating(g, c.class_members(k)), i

@@ -222,10 +222,18 @@ def _full_report_line(**fields) -> str:
     return json.dumps(doc | fields) + "\n"
 
 
+def _face_trace(face) -> str:
+    """A one-step triangle trace into `face`, adding vertices 3, 4 and 5."""
+    step = {"kind": "triangle", "face": face, "new": [3, 4, 5]}
+    return json.dumps({"family": "recursive_eulerian", "steps": [step]})
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [
         ("dominate", "0 0\n1 x\n", "invalid literal for int()"),
+        ("dominate", "0 1 2\n", "line 1: '0 1 2' is not of the form `vertex class`"),
+        ("dominate", "0 0\n1\n", "line 2: '1' is not of the form `vertex class`"),
         ("dominate", "0 0\n1 1\n2 2\n", "coloring covers 3 vertices, graph has 9"),
         ("dominate", "".join(f"{v} 0\n" for v in range(9)), "coloring is not proper"),
         (
@@ -240,12 +248,11 @@ def _full_report_line(**fields) -> str:
         ),
         ("color", '{"family": "x"}', "missing field 'steps'"),
         ("color", recursive_eulerian(2, 4)[1].to_json(), "does not rebuild"),
-        (
-            "color",
-            '{"family": "recursive_eulerian", "steps": [{"kind": "triangle", '
-            '"face": [99, 0, 2], "new": [3, 4, 5]}]}',
-            "index out of range",
-        ),
+        ("color", _face_trace([99, 0, 2]), "step 0 face [99, 0, 2] is not an inner face"),
+        ("color", _face_trace([0, 2]), "step 0 face [0, 2] is not an inner face"),
+        ("color", _face_trace([0, 2, 99]), "step 0 face [0, 2, 99] is not an inner face"),
+        ("color", _face_trace([0, 1, 2]), "step 0 face [0, 1, 2] is not an inner face"),
+        ("color", _face_trace("abc"), "step 0 face ['a', 'b', 'c'] is not an inner face"),
         ("audit", "not json\n", "Expecting value"),
         ("audit", '{"graph_id": "g"}\n', "missing field 'records'"),
         ("audit", _report_line('"1/0"'), "Fraction(1, 0)"),
@@ -265,6 +272,8 @@ def _full_report_line(**fields) -> str:
     ],
     ids=[
         "coloring-token",
+        "coloring-three-tokens",
+        "coloring-one-token",
         "coloring-length",
         "coloring-improper",
         "coloring-header-k-below-classes",
@@ -272,6 +281,10 @@ def _full_report_line(**fields) -> str:
         "trace-no-steps",
         "trace-other-graph",
         "trace-unknown-vertex",
+        "trace-two-vertex-face",
+        "trace-unknown-third-vertex",
+        "trace-outer-face",
+        "trace-string-face",
         "report-not-json",
         "report-no-records",
         "report-zero-denominator",
@@ -304,7 +317,7 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, me
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err and str(f) in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "unpack" not in err
 
 
 @pytest.mark.parametrize("index", [3_000_000, 300_000_000_000])

@@ -16,7 +16,6 @@ from domtri.coloring import (
     is_r_dynamic,
     missing_colors,
     rec_eulerian_six_coloring,
-    stacked_four_coloring,
 )
 from domtri.domination import is_dominating
 from domtri.generators import (
@@ -261,19 +260,24 @@ def test_kempe_fallback_swaps_chains(monkeypatch):
     assert swaps
 
 
-def test_stacked_coloring_dominates():
-    g, trace = planar_three_tree(25, 7)
-    c = stacked_four_coloring(trace)
-    assert is_proper(g, c)
-    assert class_sizes(c) == (4, 8, 8, 5)
+def test_stacked_maps_have_one_four_coloring():
+    # Each stacked vertex is forced into the one class its step's face
+    # misses, so four_coloring must give that partition up to renaming.
+    for n in (4, 5, 13, 25, 40):
+        for seed in (1, 2, 3):
+            g, trace = planar_three_tree(n, seed)
+            forced = [0, 1, 2]
+            for s in trace.steps:
+                (missing,) = {0, 1, 2, 3} - {forced[v] for v in s.face}
+                forced.append(missing)
+            colors = four_coloring(g).colors
+            rename = dict(zip(forced, colors))
+            assert [rename[a] for a in forced] == list(colors), (n, seed)
+            assert sorted(rename.values()) == [0, 1, 2, 3], (n, seed)
+    g, _ = planar_three_tree(25, 7)
+    c = four_coloring(g)
     assert all(is_dominating(g, c.class_members(i)) for i in range(4))
-    assert min(class_sizes(c)) <= g.n // 4
-
-
-def test_stacked_coloring_rejects_foreign_trace():
-    _, trace = recursive_eulerian(2, 0)
-    with pytest.raises(ValueError, match="stacking"):
-        stacked_four_coloring(trace)
+    assert sorted(class_sizes(c)) == [4, 5, 8, 8]
 
 
 def test_six_coloring_one_insertion():

@@ -75,6 +75,17 @@ def test_trace_json_round_trip():
     assert doc["family"] == "three_tree"
 
 
+def test_replay_rejects_a_face_outside_the_map():
+    _, trace = planar_three_tree(9, seed=4)
+    steps = list(trace.steps)
+    x, y, z = steps[2].face
+    # the reversed walk, the outer face, and an id not yet added
+    for face in ((x, z, y), (0, 1, 2), (x, y, 8)):
+        steps[2] = TraceStep("stack", face, steps[2].new)
+        with pytest.raises(ValueError, match=r"step 2 face \[.*\] is not an inner face"):
+            replay(BuildTrace("three_tree", tuple(steps)))
+
+
 def test_three_tree_shape_and_replay():
     for seed in (0, 3, 11):
         g, trace = planar_three_tree(13, seed)

@@ -13,6 +13,7 @@ from domtri.generators import (
     k4,
     near_triangulation_from,
     random_triangulation,
+    replay,
 )
 from domtri.harness import (
     BoundReport,
@@ -515,9 +516,11 @@ def test_family_builders_reproduce_generator_outputs():
     assert set(FAMILIES) == {name for name, _, _ in _FAMILY_GRID}
     parts = []
     for name, seed, params in _FAMILY_GRID:
-        g, extra = FAMILIES[name].build(seed, **params)
+        g, trace = FAMILIES[name].build(seed, **params)
         parts.append("none\n" if g is None else to_pgr(g))
-        assert ("trace" in extra) == (name in ("three_tree", "eulerian"))
+        assert (trace is not None) == (name in ("three_tree", "eulerian"))
+        if trace is not None:
+            assert replay(trace) == g
     assert parts.count("none\n") == 1
     assert hashlib.sha256("".join(parts).encode()).hexdigest() == (
         "676188484b9fa1786a821d6971303e5e79f33079f7d47fe3331cc33135a95d7a"
