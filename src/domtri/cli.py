@@ -295,9 +295,9 @@ def _cmd_audit(args) -> int:
     for path in args.reports:
         with _input_file(path):
             reports.extend(load_reports(path))
-    audit = audit_conjectures(reports)
-    sys.stdout.write(audit.render())
-    return 0 if audit.clean else 1
+    text, clean = audit_conjectures(reports)
+    sys.stdout.write(text)
+    return 0 if clean else 1
 
 
 # -- entry -------------------------------------------------------------------------

@@ -279,6 +279,15 @@ class BoundRecord:
         return self.lhs == self.rhs
 
 
+def faces_inequality_rows(h: PlaneGraph, level: str = "bound") -> tuple[BoundRecord, ...]:
+    """The faces inequality of h and its strengthened form, as two rows."""
+    r = check_faces_inequality(h)
+    return (
+        BoundRecord("faces_inequality", r.lhs, r.rhs, "<=", level),
+        BoundRecord("faces_inequality_strengthened", r.lhs, r.strengthened_rhs, "<=", level),
+    )
+
+
 def verify_combinator_accounting(
     g: PlaneGraph, c: Coloring, result: DominationResult
 ) -> tuple[BoundRecord, ...]:
@@ -334,7 +343,6 @@ def verify_combinator_accounting(
     even_inner = sum(
         cnt for d, cnt in hist.items() if d % 2 == 0
     ) - (1 if len(h.outer_face) % 2 == 0 else 0)
-    faces_ineq = check_faces_inequality(h)
     o = len(outer_vertices)
 
     checks += [
@@ -348,10 +356,7 @@ def verify_combinator_accounting(
         ),
         BoundRecord("x_in_even_inner_faces", len(x), even_inner),
         BoundRecord("interior_face_budget", 2 * len(x), h.n - 2 + f4),
-        BoundRecord("faces_inequality", faces_ineq.lhs, faces_ineq.rhs),
-        BoundRecord(
-            "faces_inequality_strengthened", faces_ineq.lhs, faces_ineq.strengthened_rhs
-        ),
+        *faces_inequality_rows(h),
         BoundRecord("weighted_deletion_budget", 3 * len(x) + len(y), n - 2 + f4),
         BoundRecord("y_at_most_half_outer", len(y), Fraction(o, 2)),
         BoundRecord("three_s", 3 * len(s), n - 2 + f4 + o),

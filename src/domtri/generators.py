@@ -41,6 +41,13 @@ def split_seed(seed: int, *indices: int) -> int:
 # -- traces -------------------------------------------------------------------
 
 
+def _typed(name: str, value, *types):
+    """value, if its type is one of types exactly: a JSON true is not an int."""
+    if type(value) not in types:
+        raise ValueError(f"{name} {value!r} is not {'/'.join(t.__name__ for t in types)}")
+    return value
+
+
 @dataclass(frozen=True)
 class TraceStep:
     kind: str  # "stack" or "triangle"
@@ -72,12 +79,15 @@ class BuildTrace:
 
     @staticmethod
     def from_json(text: str) -> "BuildTrace":
-        doc = json.loads(text)
-        steps = tuple(
-            TraceStep(s["kind"], tuple(s["face"]), tuple(s["new"]))
-            for s in doc["steps"]
-        )
-        return BuildTrace(doc["family"], steps)
+        doc = _typed("trace", json.loads(text), dict)
+        steps = []
+        for i, s in enumerate(_typed("steps", doc["steps"], list)):
+            s = _typed(f"step {i}", s, dict)
+            kind = _typed(f"step {i} kind", s["kind"], str)
+            face = tuple(_typed(f"step {i} face", s["face"], list))
+            new = tuple(_typed(f"step {i} new", s["new"], list))
+            steps.append(TraceStep(kind, face, new))
+        return BuildTrace(_typed("family", doc["family"], str), tuple(steps))
 
 
 # -- rotation surgery helpers -------------------------------------------------

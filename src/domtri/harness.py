@@ -37,12 +37,14 @@ from .domination import (
     class_combinator,
     exact_gamma,
     exact_iota,
+    faces_inequality_rows,
     is_dominating,
     is_independent,
     verify_combinator_accounting,
 )
 from .generators import (
     BuildTrace,
+    _typed,
     diamond_chain,
     diamond_chain_witness,
     icosahedron,
@@ -63,7 +65,6 @@ from .plane_graph import (
     GraphClass,
     InvariantBreach,
     PlaneGraph,
-    check_faces_inequality,
     classify,
     neighborhood_structure,
 )
@@ -75,12 +76,6 @@ def _parse_frac(text) -> Fraction:
     if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
         raise ValueError(f"number {text!r} is not of the form p or p/q")
     return Fraction(text)
-
-
-def _typed(name: str, value, *types):
-    if type(value) not in types:  # exactly: a JSON true is not an int
-        raise ValueError(f"{name} {value!r} is not {'/'.join(t.__name__ for t in types)}")
-    return value
 
 
 # the JSON types each BoundReport annotation admits
@@ -130,13 +125,14 @@ class BoundReport:
 
     @staticmethod
     def from_json(line: str) -> "BoundReport":
-        doc = json.loads(line)
+        doc = _typed("report", json.loads(line), dict)
+        rows = [_typed("record", r, dict) for r in _typed("records", doc["records"], list)]
         records = tuple(
             BoundRecord(
                 _typed("name", r["name"], str), _parse_frac(r["lhs"]), _parse_frac(r["rhs"]),
                 r["op"], r["level"],
             )
-            for r in doc["records"]
+            for r in rows
         )
         # a field with a default may be absent; any other must be present
         kw = {
@@ -307,15 +303,7 @@ class _Ctx:
 
 def _structure_checks(ctx: _Ctx, g: PlaneGraph, cls) -> None:
     if g.is_connected and g.n >= 2:
-        rep = check_faces_inequality(g)
-        ctx.rec("faces_inequality", rep.lhs, rep.rhs, "<=", "invariant")
-        ctx.rec(
-            "faces_inequality_strengthened",
-            rep.lhs,
-            rep.strengthened_rhs,
-            "<=",
-            "invariant",
-        )
+        ctx.records.extend(faces_inequality_rows(g, level="invariant"))
     if cls.category in NEAR_OR_PLANAR and g.n >= 4:
         try:
             for v in g.vertices():
@@ -705,62 +693,32 @@ def odd_degree_analysis(
 # -- audit and emission -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjectureAudit:
-    reports: int
-    gamma_conj_checked: int
-    gamma_conj_hits: tuple[tuple[str, int, str, str], ...]  # annotated, not alarmed
-    iota_conj_checked: int
-    iota_conj_hits: tuple[tuple[str, int, str, str], ...]  # counterexample candidates
-    gamma_tight: int  # instances with gamma exactly n/4
-    iota_tight: int  # instances with iota exactly 2n/7
-
-    @property
-    def clean(self) -> bool:
-        return not self.iota_conj_hits
-
-    def render(self) -> str:
-        lines = [
-            f"reports audited: {self.reports}",
-            f"conjecture gamma <= n/4: {self.gamma_conj_checked} checked, "
-            f"{len(self.gamma_conj_hits)} small-n exceedances (annotation only; "
-            f"the conjecture is asymptotic)",
-        ]
-        for gid, n, lhs, rhs in self.gamma_conj_hits:
-            lines.append(f"  note {gid} (n={n}): gamma={lhs} > {rhs}")
-        lines.append(
-            f"conjecture iota <= n/3: {self.iota_conj_checked} checked, "
-            f"{len(self.iota_conj_hits)} counterexample candidates"
-        )
-        for gid, n, lhs, rhs in self.iota_conj_hits:
-            lines.append(f"  CANDIDATE {gid} (n={n}): iota={lhs} > {rhs}")
-        lines.append(f"gamma = n/4 tight instances: {self.gamma_tight}")
-        lines.append(f"iota = 2n/7 tight instances: {self.iota_tight}")
-        return "\n".join(lines) + "\n"
-
-
-def audit_conjectures(reports: list[BoundReport]) -> ConjectureAudit:
+def audit_conjectures(reports: list[BoundReport]) -> tuple[str, bool]:
+    """The audit text, and whether every `conjecture_iota_n3` row holds."""
     rows = defaultdict(list)  # record name -> [(report, record)]
     for rep in reports:
         for r in rep.records:
             rows[r.name].append((rep, r))
-
-    def hits(name):
-        bad = [(rep, r) for rep, r in rows[name] if not r.holds]
-        return tuple((rep.graph_id, rep.n, str(r.lhs), str(r.rhs)) for rep, r in bad)
+    gamma, iota = rows["conjecture_gamma_n4"], rows["conjecture_iota_n3"]
+    notes = [(rep, r) for rep, r in gamma if not r.holds]  # annotated, not alarmed
+    alarms = [(rep, r) for rep, r in iota if not r.holds]  # counterexample candidates
 
     def tight(*names):  # rows that hold with equality
         return sum(r.holds and r.lhs == r.rhs for name in names for _, r in rows[name])
 
-    return ConjectureAudit(
-        reports=len(reports),
-        gamma_conj_checked=len(rows["conjecture_gamma_n4"]),
-        gamma_conj_hits=hits("conjecture_gamma_n4"),
-        iota_conj_checked=len(rows["conjecture_iota_n3"]),
-        iota_conj_hits=hits("conjecture_iota_n3"),
-        gamma_tight=tight("conjecture_gamma_n4", "k4_chain_gamma_n4"),
-        iota_tight=tight("diamond_iota_2n7"),
-    )
+    lines = [
+        f"reports audited: {len(reports)}",
+        f"conjecture gamma <= n/4: {len(gamma)} checked, {len(notes)} small-n "
+        "exceedances (annotation only; the conjecture is asymptotic)",
+        *(f"  note {rep.graph_id} (n={rep.n}): gamma={r.lhs} > {r.rhs}" for rep, r in notes),
+        f"conjecture iota <= n/3: {len(iota)} checked, "
+        f"{len(alarms)} counterexample candidates",
+        *(f"  CANDIDATE {rep.graph_id} (n={rep.n}): iota={r.lhs} > {r.rhs}"
+          for rep, r in alarms),
+        f"gamma = n/4 tight instances: {tight('conjecture_gamma_n4', 'k4_chain_gamma_n4')}",
+        f"iota = 2n/7 tight instances: {tight('diamond_iota_2n7')}",
+    ]
+    return "\n".join(lines) + "\n", not alarms
 
 
 def render_table(reports: list[BoundReport], include_timings: bool = False) -> str:

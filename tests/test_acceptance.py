@@ -311,7 +311,7 @@ def test_criterion_10_deterministic_reports(tmp_path):
         "26dfe2ca9d340b0867e31dc5b3b1368bf7ee26633acf439a390a1950ba14f5c2"
     )
     # and the audit of that report, byte for byte
-    assert audit_conjectures(load_reports(jsonl)).render() == (
+    assert audit_conjectures(load_reports(jsonl))[0] == (
         "reports audited: 233\n"
         "conjecture gamma <= n/4: 87 checked, 4 small-n exceedances "
         "(annotation only; the conjecture is asymptotic)\n"

@@ -222,9 +222,10 @@ def _full_report_line(**fields) -> str:
     return json.dumps(doc | fields) + "\n"
 
 
-def _face_trace(face) -> str:
-    """A one-step triangle trace into `face`, adding vertices 3, 4 and 5."""
-    step = {"kind": "triangle", "face": face, "new": [3, 4, 5]}
+def _face_trace(face, **fields) -> str:
+    """A one-step triangle trace into `face`, adding vertices 3, 4 and 5,
+    with the step's `fields` replaced."""
+    step = {"kind": "triangle", "face": face, "new": [3, 4, 5]} | fields
     return json.dumps({"family": "recursive_eulerian", "steps": [step]})
 
 
@@ -252,7 +253,17 @@ def _face_trace(face) -> str:
         ("color", _face_trace([0, 2]), "step 0 face [0, 2] is not an inner face"),
         ("color", _face_trace([0, 2, 99]), "step 0 face [0, 2, 99] is not an inner face"),
         ("color", _face_trace([0, 1, 2]), "step 0 face [0, 1, 2] is not an inner face"),
-        ("color", _face_trace("abc"), "step 0 face ['a', 'b', 'c'] is not an inner face"),
+        ("color", _face_trace("abc"), "step 0 face 'abc' is not list"),
+        ("color", '{"family": "x", "steps": 5}', "steps 5 is not list"),
+        ("color", _face_trace(5), "step 0 face 5 is not list"),
+        (
+            "color",
+            _face_trace([0, 2, 1], kind=["triangle"]),
+            "step 0 kind ['triangle'] is not str",
+        ),
+        ("color", _face_trace([0, 2, 1], new=5), "step 0 new 5 is not list"),
+        ("color", '{"family": "x", "steps": [[1]]}', "step 0 [1] is not dict"),
+        ("color", "[1, 2]", "trace [1, 2] is not dict"),
         ("audit", "not json\n", "Expecting value"),
         ("audit", '{"graph_id": "g"}\n', "missing field 'records'"),
         ("audit", _report_line('"1/0"'), "Fraction(1, 0)"),
@@ -268,6 +279,9 @@ def _face_trace(face) -> str:
         ("audit", _full_report_line(errors="boom"), "errors 'boom' is not list"),
         ("audit", _full_report_line(errors=[1]), "error 1 is not str"),
         ("audit", _full_report_line(records={}), "records {} is not list"),
+        ("audit", _full_report_line(records=5), "records 5 is not list"),
+        ("audit", _full_report_line(records=[[1]]), "record [1] is not dict"),
+        ("audit", "[1, 2]\n", "report [1, 2] is not dict"),
         ("audit", _full_report_line(runtime_ms="1"), "runtime_ms '1' is not int/float/NoneType"),
     ],
     ids=[
@@ -285,6 +299,12 @@ def _face_trace(face) -> str:
         "trace-unknown-third-vertex",
         "trace-outer-face",
         "trace-string-face",
+        "trace-number-steps",
+        "trace-number-face",
+        "trace-list-kind",
+        "trace-number-new",
+        "trace-list-step",
+        "trace-list-document",
         "report-not-json",
         "report-no-records",
         "report-zero-denominator",
@@ -300,6 +320,9 @@ def _face_trace(face) -> str:
         "report-string-errors",
         "report-number-error",
         "report-object-records",
+        "report-number-records",
+        "report-list-record",
+        "report-list-document",
         "report-string-runtime",
     ],
 )
@@ -318,6 +341,8 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, me
     assert (code, out) == (2, "")
     assert message in err and str(f) in err
     assert "Traceback" not in err and "unpack" not in err
+    # Python's own messages for a value of the wrong JSON type
+    assert not any(m in err for m in ("not iterable", "unhashable", "indices must be"))
 
 
 @pytest.mark.parametrize("index", [3_000_000, 300_000_000_000])
@@ -552,6 +577,17 @@ def test_sweep_and_audit(tmp_path, capsys):
     assert "counterexample candidates" in out
 
 
+def test_audit_exits_1_on_a_candidate(tmp_path, capsys):
+    row = {
+        "name": "conjecture_iota_n3", "lhs": "2", "rhs": "4/3", "op": "<=", "level": "conjecture",
+    }
+    f = tmp_path / "r.jsonl"
+    f.write_text(_full_report_line(records=[row]))
+    code, out, _ = run(capsys, "audit", str(f))
+    assert code == 1
+    assert "1 checked, 1 counterexample candidates\n  CANDIDATE g (n=4): iota=2 > 4/3\n" in out
+
+
 def test_sweep_dotted_stems_keep_their_own_files(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(TINY_CONFIG)
@@ -581,7 +617,7 @@ def test_sweep_prints_failed_rows_and_errors(tmp_path, capsys, monkeypatch):
         return SimpleNamespace(lhs=5, rhs=1, strengthened_rhs=1)
 
     monkeypatch.setattr(harness, "four_coloring", no_coloring)
-    monkeypatch.setattr(harness, "check_faces_inequality", broken_faces)
+    monkeypatch.setattr(domination, "check_faces_inequality", broken_faces)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("families = k4\nout = " + str(tmp_path / "r") + "\n")
     code, out, _ = run(capsys, "sweep", "-c", str(cfg))

@@ -17,7 +17,6 @@ from domtri.generators import (
 )
 from domtri.harness import (
     BoundReport,
-    ConjectureAudit,
     FAMILIES,
     audit_conjectures,
     emit,
@@ -261,6 +260,37 @@ def test_coloring_limit_is_a_report_error(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "oracle, gone, kept",
+    [
+        (
+            "exact_iota",
+            {"iota_le_combinator", "conjecture_iota_n3", "gamma_le_iota"},
+            {"gamma_near_n3", "conjecture_gamma_n4"},
+        ),
+        (
+            "exact_gamma",
+            {"gamma_le_iota", "gamma_near_n3", "conjecture_gamma_n4"},
+            {"iota_le_combinator", "conjecture_iota_n3"},
+        ),
+    ],
+    ids=["iota", "gamma"],
+)
+def test_oracle_out_of_budget_drops_its_rows(monkeypatch, oracle, gone, kept):
+    calls = []
+
+    def out_of_budget(g, limit):
+        calls.append(g.n)
+        raise domination.OracleLimitExceeded("stub")
+
+    monkeypatch.setattr(harness, oracle, out_of_budget)
+    (rep,) = run_sweep(parse_sweep_config("families = octahedron\n"))
+    assert calls == [6]
+    assert rep.holds and rep.errors == ()
+    names = {r.name for r in rep.records}
+    assert not names & gone and kept <= names
+
+
 def test_eulerian_checks_check_properness_a_fixed_number_of_times(monkeypatch):
     passes = []
 
@@ -441,15 +471,17 @@ def _audit_fixture():
 
 
 def test_audit_annotates_gamma_hits():
-    audit = audit_conjectures(_audit_fixture())
-    assert isinstance(audit, ConjectureAudit)
-    assert audit.clean  # gamma exceedances never dirty the audit
-    assert audit.gamma_conj_checked == 2
-    assert [hit[0] for hit in audit.gamma_conj_hits] == ["oct"]
-    assert audit.gamma_tight == 1
-    assert audit.iota_tight == 1
-    text = audit.render()
-    assert "note oct" in text and "CANDIDATE" not in text
+    text, clean = audit_conjectures(_audit_fixture())
+    assert clean  # gamma exceedances never dirty the audit
+    assert text == (
+        "reports audited: 2\n"
+        "conjecture gamma <= n/4: 2 checked, 1 small-n exceedances "
+        "(annotation only; the conjecture is asymptotic)\n"
+        "  note oct (n=6): gamma=2 > 3/2\n"
+        "conjecture iota <= n/3: 1 checked, 0 counterexample candidates\n"
+        "gamma = n/4 tight instances: 1\n"
+        "iota = 2n/7 tight instances: 1\n"
+    )
 
 
 def test_audit_counts_tight_rows_by_name():
@@ -459,10 +491,12 @@ def test_audit_counts_tight_rows_by_name():
         "conjecture_gamma_n4", Fraction(2), Fraction(3), level="conjecture"
     )
     reports = _audit_fixture() + [_report([k4_chain, gamma_loose]), _report([k4_chain_off])]
-    audit = audit_conjectures(reports)
+    text, clean = audit_conjectures(reports)
+    assert clean
+    lines = text.splitlines()
+    assert lines[1].startswith("conjecture gamma <= n/4: 3 checked, 1 small-n exceedances")
     # the fixture's tight conjecture row plus the one k4_chain row that holds
-    assert (audit.gamma_conj_checked, audit.gamma_tight, audit.iota_tight) == (3, 2, 1)
-    assert audit.render().splitlines()[-2:] == [
+    assert lines[-2:] == [
         "gamma = n/4 tight instances: 2",
         "iota = 2n/7 tight instances: 1",
     ]
@@ -484,10 +518,18 @@ def test_audit_flags_iota_candidates():
             n=13,
         )
     )
-    audit = audit_conjectures(reports)
-    assert not audit.clean
-    assert [hit[0] for hit in audit.iota_conj_hits] == ["suspect"]
-    assert "CANDIDATE suspect" in audit.render()
+    text, clean = audit_conjectures(reports)
+    assert not clean
+    assert text == (
+        "reports audited: 3\n"
+        "conjecture gamma <= n/4: 2 checked, 1 small-n exceedances "
+        "(annotation only; the conjecture is asymptotic)\n"
+        "  note oct (n=6): gamma=2 > 3/2\n"
+        "conjecture iota <= n/3: 2 checked, 1 counterexample candidates\n"
+        "  CANDIDATE suspect (n=13): iota=5 > 13/3\n"
+        "gamma = n/4 tight instances: 1\n"
+        "iota = 2n/7 tight instances: 1\n"
+    )
 
 
 _SEEDS = (1, 2, 7)
