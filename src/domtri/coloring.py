@@ -82,8 +82,10 @@ def class_sizes(c: Coloring) -> tuple[int, ...]:
 def is_proper(g: PlaneGraph, c: Coloring) -> bool:
     if c.n != g.n:
         raise ValueError(f"coloring covers {c.n} vertices, graph has {g.n}")
-    col = c.colors
-    return all(col[u] != col[v] for u, nbrs in enumerate(g._adj) for v in nbrs)
+    members: dict[int, set[int]] = {}  # each class's vertices
+    for v, x in enumerate(c.colors):
+        members.setdefault(x, set()).add(v)
+    return all(members[x].isdisjoint(nbrs) for x, nbrs in zip(c.colors, g._adj))
 
 
 def _require_proper(g: PlaneGraph, c: Coloring):
@@ -169,35 +171,45 @@ def _dsatur(nbrs) -> list[int] | None:
     # the lowest bit of the highest nonempty level is the DSATUR pick
     level = [(1 << n) - 1, 0, 0, 0, 0]
     trail: list[tuple[int, int]] = []  # (vertex, class) of each assignment
-
-    def mark(v, c, step):  # step 1 gives v class c, step -1 takes it back
-        colors[v], edge = (c, 1) if step > 0 else (-1, 0)
-        for u in nbrs[v]:
-            i = 4 * u + c
-            seen[i] += step
-            if seen[i] == edge:  # the saturation of u changed
-                if colors[u] < 0:
-                    level[sat[u]] ^= bit[u]
-                    level[sat[u] + step] |= bit[u]
-                sat[u] += step
-
     for nodes in itertools.count(1):
-        top = next((s for s in (4, 3, 2, 1, 0) if level[s]), None)
-        if top is None:
+        for top in (4, 3, 2, 1, 0):
+            if level[top]:
+                break
+        else:
             return colors
         if nodes > _SEARCH_NODES:
             return None
         low = level[top] & -level[top]
         level[top] ^= low
-        v, first = order[low.bit_length() - 1], 0
-        while (c := next((c for c in range(first, 4) if not seen[4 * v + c]), None)) is None:
+        v, c = order[low.bit_length() - 1], 0
+        while True:  # the lowest class from c on that no neighbor of v has
+            while c < 4 and seen[4 * v + c]:
+                c += 1
+            if c < 4:
+                break
             level[sat[v]] |= bit[v]  # back up
             if not trail:
                 return None
             v, c = trail.pop()
-            mark(v, c, -1)
-            first = c + 1
-        mark(v, c, 1)
+            colors[v] = -1  # take class c back from v
+            for u in nbrs[v]:
+                i = 4 * u + c
+                seen[i] -= 1
+                if not seen[i]:  # the saturation of u fell
+                    if colors[u] < 0:
+                        level[sat[u]] ^= bit[u]
+                        level[sat[u] - 1] |= bit[u]
+                    sat[u] -= 1
+            c += 1
+        colors[v] = c  # give v class c
+        for u in nbrs[v]:
+            i = 4 * u + c
+            seen[i] += 1
+            if seen[i] == 1:  # the saturation of u rose
+                if colors[u] < 0:
+                    level[sat[u]] ^= bit[u]
+                    level[sat[u] + 1] |= bit[u]
+                sat[u] += 1
         trail.append((v, c))
 
 

@@ -267,8 +267,10 @@ class BoundRecord:
             raise ValueError(f"unknown comparison {self.op!r}")
         if self.level not in ("bound", "invariant", "conjecture", "finding"):
             raise ValueError(f"unknown level {self.level!r}")
-        object.__setattr__(self, "lhs", Fraction(self.lhs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        if type(self.lhs) is not Fraction:  # Fraction(Fraction) is slow
+            object.__setattr__(self, "lhs", Fraction(self.lhs))
+        if type(self.rhs) is not Fraction:
+            object.__setattr__(self, "rhs", Fraction(self.rhs))
 
     @property
     def holds(self) -> bool:

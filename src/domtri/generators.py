@@ -129,9 +129,14 @@ def _faces_at(rot, vs):
     faces = set()
     for v in vs:
         for u in rot[v]:
-            f = (v, u, _after(rot, v, u))
-            i = f.index(min(f))
-            faces.add(f[i:] + f[:i])
+            r = rot[u]
+            w = r[(r.index(v) + 1) % len(r)]
+            if v < u and v < w:
+                faces.add((v, u, w))
+            elif u < w:
+                faces.add((u, w, v))
+            else:
+                faces.add((w, v, u))
     return faces
 
 
@@ -189,7 +194,7 @@ def _grow(kind, steps, seed, eligible=None):
     """Grow the base triangle by `steps` insertions of one kind, each into
     an inner face drawn uniformly at random from those that
     `eligible(rot, walk)` accepts (all when None).  Returns the rotation
-    lists and the trace steps."""
+    lists and the (walk, new) pair of each insertion."""
     insert, count = _STEPS[kind]
     rng = random.Random(seed)
     rot = [list(r) for r in _TRIANGLE_ROT]
@@ -202,7 +207,7 @@ def _grow(kind, steps, seed, eligible=None):
         walk = pool.pop(rng.randrange(len(pool)))
         new = tuple(range(len(rot), len(rot) + count))
         insert(rot, walk, *new)
-        trace.append(TraceStep(kind, walk, new))
+        trace.append((walk, new))
         if not eligible:
             for f in _faces_at(rot, new):
                 bisect.insort(pool, f)
@@ -214,11 +219,12 @@ def _grow(kind, steps, seed, eligible=None):
                     del pool[i]
                 elif not drawable and eligible(rot, f):
                     pool.insert(i, f)
-    return rot, tuple(trace)
+    return rot, trace
 
 
 def _stacked(n, seed):
-    """The lists and trace steps of a stacked triangulation on n vertices."""
+    """The lists and (walk, new) insertions of a stacked triangulation on
+    n vertices."""
     if n < 3:
         raise ValueError(f"a stacked triangulation needs n >= 3, got {n}")
     return _grow("stack", n - 3, seed)
@@ -231,7 +237,8 @@ def planar_three_tree(n: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
     n = 3 is the bare triangle and n = 4 is K4 regardless of seed.
     """
     rot, steps = _stacked(n, seed)
-    return PlaneGraph(rot, outer_dart=(0, 1)), BuildTrace("three_tree", steps)
+    trace = BuildTrace("three_tree", tuple(TraceStep("stack", *s) for s in steps))
+    return PlaneGraph(rot, outer_dart=(0, 1)), trace
 
 
 def _eulerian_face(rot, walk):
@@ -257,7 +264,8 @@ def recursive_eulerian(t: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
     rot, steps = _grow("triangle", t, seed, _eulerian_face)
-    return PlaneGraph(rot, outer_dart=(0, 1)), BuildTrace("recursive_eulerian", steps)
+    trace = BuildTrace("recursive_eulerian", tuple(TraceStep("triangle", *s) for s in steps))
+    return PlaneGraph(rot, outer_dart=(0, 1)), trace
 
 
 def _inner_face(rot, walk) -> bool:
@@ -400,18 +408,21 @@ def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGr
     # Outputs per (n, seed) are fixed (seeds in full.cfg were sampled from
     # them): each flip edits canonical lists `rot`, and the next edge is
     # drawn in the PlaneGraph(step).edges() order, `step` being the lists
-    # the last accepted flip left.  Only the lists it or the flip before
-    # touched differ from `rot`; a Fenwick tree over the counts of
-    # higher-id neighbors finds the edge's u.
+    # the last accepted flip left, so the draw reads the set of step[u]
+    # when it draws u.  The lists the last flip edited stay in step as it
+    # left them, and rot gets a canonical copy of each that is not
+    # canonical.  Any other step[w] is canonical and may alias rot[w]
+    # until a flip touches it; that flip's edit is what step[w] must hold
+    # then anyway.  A Fenwick tree over the counts of higher-id neighbors
+    # finds the edge's u.
     rot = [_canonical(r) for r in step]
-    sets = [frozenset(r) for r in step]
     tree = [0] * (n + 1)
-    for u, nbrs in enumerate(sets):
+    for u, nbrs in enumerate(step):
         _fenwick_add(tree, u, sum(w > u for w in nbrs))
-    last = set(range(n))  # the stacked start's lists are not canonical
+    last = range(n)  # the stacked start's lists are not canonical
     for _ in range(flips):
         u, k = _fenwick_find(tree, rng.randrange(tree[0]))
-        v = [w for w in sets[u] if w > u][k]
+        v = [w for w in frozenset(step[u]) if w > u][k]
         if v < 3:  # an edge of the outer triangle (0, 1, 2)
             continue
         try:
@@ -420,10 +431,13 @@ def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGr
             continue
         _fenwick_add(tree, min(u, v), -1)
         _fenwick_add(tree, min(x, y), 1)
-        for w in last | {u, v, x, y}:
-            step[w], rot[w] = rot[w], _canonical(rot[w])
-            sets[w] = frozenset(step[w])
-        last = {u, v, x, y}
+        for w in last:  # canonical since the flip before
+            step[w] = rot[w]
+        last = (u, v, x, y)
+        for w in last:
+            step[w] = r = rot[w]
+            if r[0] != min(r):
+                rot[w] = _canonical(r)
     return PlaneGraph(step, outer_dart=(0, 1))
 
 
@@ -431,7 +445,8 @@ def _fenwick_add(tree, i, d):
     """Add d to count i of a Fenwick tree; tree[0] is the total."""
     tree[0] += d
     i += 1
-    while i < len(tree):
+    size = len(tree)
+    while i < size:
         tree[i] += d
         i += i & -i
 
@@ -439,11 +454,13 @@ def _fenwick_add(tree, i, d):
 def _fenwick_find(tree, k):
     """The index i with sum(counts[:i]) <= k < sum(counts[:i + 1]), and
     k - sum(counts[:i])."""
-    i, bit = 0, 1 << len(tree).bit_length()
+    i, size = 0, len(tree)
+    bit = 1 << (size - 1).bit_length() >> 1  # the largest power of 2 below size
     while bit:
-        if i + bit < len(tree) and tree[i + bit] <= k:
-            i += bit
-            k -= tree[i]
+        j = i + bit
+        if j < size and tree[j] <= k:
+            i = j
+            k -= tree[j]
         bit >>= 1
     return i, k
 

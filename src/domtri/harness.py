@@ -73,9 +73,11 @@ from .plane_graph import (
 
 def _parse_frac(text) -> Fraction:
     """The inverse of str(Fraction); Fraction() alone also takes 1e4000000, slowly."""
-    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+    m = isinstance(text, str) and re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text)
+    if not m:
         raise ValueError(f"number {text!r} is not of the form p or p/q")
-    return Fraction(text)
+    p, q = m.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
 # the JSON types each BoundReport annotation admits

@@ -447,19 +447,22 @@ def _flip(rot: list[list[int]], u: int, v: int) -> tuple[int, int]:
     """Flip edge uv of the triangles (u, v, x) and (v, u, y) to xy in the
     rotation lists and return (x, y), refusing x == y and an existing edge
     xy before any list changes.  A missing edge uv raises ValueError."""
-    x = _after(rot, u, v)
-    y = _after(rot, v, u)
+    ru, rv = rot[u], rot[v]
+    i, j = rv.index(u), ru.index(v)
+    x = rv[i + 1] if i + 1 < len(rv) else rv[0]  # follows u at v
+    y = ru[j + 1] if j + 1 < len(ru) else ru[0]  # follows v at u
     if x == y:
         raise EmbeddingError(f"flip of ({u}, {v}) is degenerate (same apex twice)")
-    if y in rot[x]:
+    rx = rot[x]
+    if y in rx:
         raise EmbeddingError(f"flip of ({u}, {v}) would create parallel edge ({x}, {y})")
-    rot[u].remove(v)
-    rot[v].remove(u)
+    del ru[j], rv[i]
     # In the face walk (u, v, x) the dart into x comes from v, so at x
     # the edge to y goes right after v in rotation order; symmetrically
     # at y it goes right after u.
-    _insert_span(rot, x, v, [y])
-    _insert_span(rot, y, u, [x])
+    rx.insert(rx.index(v) + 1, y)
+    ry = rot[y]
+    ry.insert(ry.index(u) + 1, x)
     return x, y
 
 

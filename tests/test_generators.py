@@ -197,6 +197,22 @@ def test_flip_walk_is_pinned():
     )
 
 
+def test_flip_walk_small_n_is_pinned():
+    # Digest of to_pgr plus edges() order, taken when every accepted flip
+    # re-copied the lists of the last two flips and rebuilt their sets.
+    # At small n most draws hit an outer edge or a degenerate flip, and one
+    # list is often touched by consecutive flips.
+    digest = hashlib.sha256()
+    for n in range(3, 41):
+        for s in range(1, 6):
+            for flips in (0, None, 6 * n):
+                g = random_triangulation(n, s, flips=flips)
+                digest.update((to_pgr(g) + repr(g.edges())).encode())
+    assert digest.hexdigest() == (
+        "fec8860bfdb179ec5a955c72c6759199d4cd0c2d390466cdc778e117b648c131"
+    )
+
+
 def test_flip_walk_long_is_pinned():
     # Digest of to_pgr plus edges() order, taken when every accepted flip
     # re-canonicalised all n lists and rebuilt the whole edge list: the
