@@ -18,9 +18,9 @@ from .plane_graph import (
     PlaneGraph,
     _after,
     _canonical,
-    _flip,
     _insert_span,
     deleted_vertex_region_dart,
+    flip_edge,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -399,70 +399,40 @@ def k4_chain(k: int) -> tuple[PlaneGraph, frozenset[int]]:
 def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGraph:
     """Random stacked triangulation mixed by a seeded walk of random edge
     flips (illegal flips are skipped).  flips defaults to 3n."""
-    step, _ = _stacked(n, split_seed(seed, 0))
     if flips is None:
         flips = 3 * n
     if flips < 0:
         raise ValueError(f"flip count must be >= 0, got {flips}")
+    start, _ = _stacked(n, split_seed(seed, 0))
     rng = random.Random(split_seed(seed, 1))
-    # Outputs per (n, seed) are fixed (seeds in full.cfg were sampled from
-    # them): each flip edits canonical lists `rot`, and the next edge is
-    # drawn in the PlaneGraph(step).edges() order, `step` being the lists
-    # the last accepted flip left, so the draw reads the set of step[u]
-    # when it draws u.  The lists the last flip edited stay in step as it
-    # left them, and rot gets a canonical copy of each that is not
-    # canonical.  Any other step[w] is canonical and may alias rot[w]
-    # until a flip touches it; that flip's edit is what step[w] must hold
-    # then anyway.  A Fenwick tree over the counts of higher-id neighbors
-    # finds the edge's u.
-    rot = [_canonical(r) for r in step]
-    tree = [0] * (n + 1)
-    for u, nbrs in enumerate(step):
-        _fenwick_add(tree, u, sum(w > u for w in nbrs))
-    last = range(n)  # the stacked start's lists are not canonical
+    # Outputs per (n, seed) are fixed (full.cfg's seeds were sampled from
+    # them): edge k is drawn in the edges() order of the lists as the last
+    # accepted flip left them.  `owners` sorts each edge's lower end; flips
+    # edit the canonical `rot`, and `raw` keeps the lists that the last flip
+    # (at first, the stacked start) left non-canonical, as they stand.
+    raw = dict(enumerate(start))
+    rot = [_canonical(r) for r in start]
+    owners = [u for u, r in enumerate(start) for w in r if w > u]
     for _ in range(flips):
-        u, k = _fenwick_find(tree, rng.randrange(tree[0]))
-        v = [w for w in frozenset(step[u]) if w > u][k]
+        k = rng.randrange(len(owners))
+        u = owners[k]
+        i = bisect.bisect_left(owners, u)
+        v = [w for w in frozenset(raw.get(u) or rot[u]) if w > u][k - i]
         if v < 3:  # an edge of the outer triangle (0, 1, 2)
             continue
         try:
-            x, y = _flip(rot, u, v)
+            x, y = flip_edge(rot, u, v)
         except EmbeddingError:
             continue
-        _fenwick_add(tree, min(u, v), -1)
-        _fenwick_add(tree, min(x, y), 1)
-        for w in last:  # canonical since the flip before
-            step[w] = rot[w]
-        last = (u, v, x, y)
-        for w in last:
-            step[w] = r = rot[w]
+        del owners[i]
+        bisect.insort(owners, min(x, y))
+        raw = {}
+        for w in (u, v, x, y):
+            r = rot[w]
             if r[0] != min(r):
+                raw[w] = r
                 rot[w] = _canonical(r)
-    return PlaneGraph(step, outer_dart=(0, 1))
-
-
-def _fenwick_add(tree, i, d):
-    """Add d to count i of a Fenwick tree; tree[0] is the total."""
-    tree[0] += d
-    i += 1
-    size = len(tree)
-    while i < size:
-        tree[i] += d
-        i += i & -i
-
-
-def _fenwick_find(tree, k):
-    """The index i with sum(counts[:i]) <= k < sum(counts[:i + 1]), and
-    k - sum(counts[:i])."""
-    i, size = 0, len(tree)
-    bit = 1 << (size - 1).bit_length() >> 1  # the largest power of 2 below size
-    while bit:
-        j = i + bit
-        if j < size and tree[j] <= k:
-            i = j
-            k -= tree[j]
-        bit >>= 1
-    return i, k
+    return PlaneGraph([raw.get(w) or r for w, r in enumerate(rot)], outer_dart=(0, 1))
 
 
 def random_connected_plane(n: int, seed: int) -> PlaneGraph:
@@ -500,6 +470,8 @@ def _find(root, x):
 def near_triangulation_from(g: PlaneGraph, v: int) -> tuple[PlaneGraph, dict[int, int]]:
     """Delete one vertex of a triangulation and re-root so the hole it
     leaves (the cycle formerly N(v)) becomes the outer face."""
+    if g.n < 4:  # deleting a vertex of the triangle leaves an edge
+        raise ValueError(f"a near triangulation needs a base with n >= 4, got {g.n}")
     if any(len(w) != 3 for w in g.faces):
         raise ValueError("near_triangulation_from expects a triangulation")
     a, b = deleted_vertex_region_dart(g, v)

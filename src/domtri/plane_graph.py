@@ -443,7 +443,7 @@ def check_faces_inequality(h: PlaneGraph) -> FacesInequalityReport:
 # -- edge flip ---------------------------------------------------------------
 
 
-def _flip(rot: list[list[int]], u: int, v: int) -> tuple[int, int]:
+def flip_edge(rot: list[list[int]], u: int, v: int) -> tuple[int, int]:
     """Flip edge uv of the triangles (u, v, x) and (v, u, y) to xy in the
     rotation lists and return (x, y), refusing x == y and an existing edge
     xy before any list changes.  A missing edge uv raises ValueError."""

@@ -80,6 +80,9 @@ def test_gen_missing_size_argument(capsys):
     code, out, err = run(capsys, "gen", "random", "--n", "2")
     assert (code, out) == (2, "")
     assert "needs n >= 3" in err
+    code, out, err = run(capsys, "gen", "near", "--n", "3")
+    assert (code, out) == (2, "")
+    assert "near triangulation needs a base with n >= 4, got 3" in err
 
 
 def test_gen_negative_flips_is_usage_error(capsys):

@@ -12,8 +12,6 @@ from domtri.domination import is_dominating, is_independent
 from domtri.generators import (
     BuildTrace,
     TraceStep,
-    _fenwick_add,
-    _fenwick_find,
     diamond_chain,
     diamond_chain_witness,
     icosahedron,
@@ -232,22 +230,6 @@ def test_flip_walk_long_is_pinned():
     )
 
 
-def test_fenwick_find_matches_a_prefix_scan():
-    # The walk finds the u of its edge index k through these two helpers;
-    # zero counts (vertices with no higher-id neighbor) must be skipped.
-    counts = [0, 3, 0, 0, 1, 5, 0, 2, 1, 0, 0, 4]
-    tree = [0] * (len(counts) + 1)
-    for i, c in enumerate(counts):
-        _fenwick_add(tree, i, c)
-    _fenwick_add(tree, 5, -2)
-    _fenwick_add(tree, 2, 2)
-    counts[5] -= 2
-    counts[2] += 2
-    expected = [(i, j) for i, c in enumerate(counts) for j in range(c)]
-    assert tree[0] == len(expected)
-    assert [_fenwick_find(tree, k) for k in range(tree[0])] == expected
-
-
 def test_generator_steps_are_local():
     # Each flip and growth step edits only what it touches.  At O(n) a step
     # these took about 6 s, 5 s and 15 s.
@@ -373,6 +355,14 @@ def test_near_triangulation_from_octahedron():
     assert set(relabel.keys()) == {0, 1, 2, 4, 5}
     with pytest.raises(ValueError):
         near_triangulation_from(h, 0)  # not a triangulation any more
+
+
+def test_near_triangulation_from_needs_four_vertices():
+    # any vertex of the bare triangle leaves an edge, which is no near triangulation
+    g = random_triangulation(3, 1)
+    for v in g.vertices():
+        with pytest.raises(ValueError, match="n >= 4, got 3"):
+            near_triangulation_from(g, v)
 
 
 def test_near_triangulation_from_random_bases():

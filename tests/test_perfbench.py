@@ -50,3 +50,18 @@ def test_tracer_records_the_per_layer_spans(bench):
         "domination.exact_iota",
         "coloring.four_coloring",
     } <= names
+
+
+def test_tracer_sees_the_flip_walk(bench):
+    # The walk's flips are spanned through the public name that
+    # generators imports; a private one would read 0 flips per sweep.
+    _, tracing = bench
+    tracer = tracing.Tracer([])
+    tracer.attach()
+    try:
+        run_sweep(parse_sweep_config("families = random\nrandom.n = 20\nrandom.count = 1\n"))
+    finally:
+        tracer.detach()
+    flips = [span for span in tracer.spans if span[2] == "plane_graph.flip_edge"]
+    assert flips
+    assert any(span[5] == "EmbeddingError" for span in flips)

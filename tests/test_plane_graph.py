@@ -34,8 +34,8 @@ from domtri.plane_graph import (
     closed_neighborhood,
     delete_vertices,
     deleted_vertex_region_dart,
-    _flip,
     face_degree_histogram,
+    flip_edge,
     neighborhood_structure,
     parse_pgr,
     to_pgr,
@@ -368,7 +368,7 @@ def test_faces_inequality_requires_connected():
 def flipped(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
     """g with edge uv flipped by the rotation-list flip of the walk."""
     rot = [list(r) for r in g.rotations]
-    _flip(rot, u, v)
+    flip_edge(rot, u, v)
     ob = g.outer_face
     return PlaneGraph(rot, outer_dart=(ob[0], ob[1]))
 
@@ -380,7 +380,7 @@ def test_k4_has_no_flippable_edge():
     for u in g.neighbors(hub):
         rot = [list(r) for r in g.rotations]
         with pytest.raises(EmbeddingError, match="parallel edge"):
-            _flip(rot, hub, u)
+            flip_edge(rot, hub, u)
         assert rot == [list(r) for r in g.rotations]  # refused before any edit
 
 
@@ -412,7 +412,7 @@ def test_flip_rejects_missing_edge_and_non_triangulations():
     )
     rot = [list(r) for r in g.rotations]
     with pytest.raises(ValueError):
-        _flip(rot, *non_edge)
+        flip_edge(rot, *non_edge)
     assert rot == [list(r) for r in g.rotations]
 
 
