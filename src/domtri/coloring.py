@@ -52,14 +52,18 @@ class Coloring:
     def from_text(text: str) -> "Coloring":
         pairs, k = {}, None
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            if raw.startswith("# coloring k="):  # else k is the largest class + 1
-                k = int(raw.removeprefix("# coloring k="))
-            line = raw.split("#", 1)[0].strip()
+            header = raw.startswith("# coloring k=")  # else k is the largest class + 1
+            line = raw if header else raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if len(line.split()) != 2:
-                raise ValueError(f"line {lineno}: {line!r} is not of the form `vertex class`")
-            v, c = map(int, line.split())
+            try:
+                if header:
+                    k = int(raw.removeprefix("# coloring k="))
+                    continue
+                v, c = map(int, line.split())
+            except ValueError:
+                form = "# coloring k=K" if header else "vertex class"
+                raise ValueError(f"line {lineno}: {line!r} is not of the form `{form}`") from None
             if v in pairs:
                 raise ValueError(f"vertex {v} colored twice")
             pairs[v] = c

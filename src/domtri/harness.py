@@ -72,8 +72,9 @@ from .plane_graph import (
 # -- report records -----------------------------------------------------------
 
 def _parse_frac(text) -> Fraction:
-    """The inverse of str(Fraction); Fraction() alone also takes 1e4000000, slowly."""
-    m = isinstance(text, str) and re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text)
+    """The inverse of str(Fraction), whose denominators are positive and have no
+    leading 0; Fraction() alone also takes 1e4000000, slowly."""
+    m = isinstance(text, str) and re.fullmatch(r"(-?[0-9]+)(?:/([1-9][0-9]*))?", text)
     if not m:
         raise ValueError(f"number {text!r} is not of the form p or p/q")
     p, q = m.groups()

@@ -132,54 +132,52 @@ class PlaneGraph:
         n = len(rotations)
         if n == 0:
             raise EmbeddingError("a plane graph needs at least one vertex")
-        for v, rot in enumerate(rotations):
+        adj = tuple(map(frozenset, rotations))
+        for v, (rot, nbrs) in enumerate(zip(rotations, adj)):
             for u in rot:
                 if not (0 <= u < n):
                     raise EmbeddingError(f"vertex {v} lists unknown neighbor {u}")
-            if v in rot:
+            if v in nbrs:
                 raise EmbeddingError(f"loop at vertex {v}")
-            if len(set(rot)) != len(rot):
+            if len(nbrs) != len(rot):
                 raise EmbeddingError(f"parallel edge in rotation of vertex {v}")
-        adj = [frozenset(rot) for rot in rotations]
-        for v in range(n):
-            for u in adj[v]:
-                if v not in adj[u]:
-                    raise EmbeddingError(f"asymmetric adjacency between {v} and {u}")
 
         self.n = n
         self.rotations = tuple(_canonical(tuple(rot)) for rot in rotations)
-        self._adj = tuple(adj)
-        self.edge_count = sum(len(rot) for rot in adj) // 2
+        self._adj = adj
+        self.edge_count = sum(map(len, adj)) // 2
 
         self.component_count = _count_components(adj)
         # Faces are the orbits of the dart successor (u, v) -> (v, succ_v(u)),
         # walked by rotation position.  Starting an orbit at each unlabelled
         # dart in sorted order numbers faces by their smallest dart; the
-        # labels double as the seen set.
+        # labels double as the seen set.  A one-sided dart fails index[v][u].
         rots = self.rotations
         index = [{w: i for i, w in enumerate(r)} for r in rots]
         labels = [[-1] * len(r) for r in rots]
         faces = []
-        for s, rot in enumerate(rots):
-            for t in sorted(rot):
-                i = index[s][t]
-                if labels[s][i] >= 0:
-                    continue
-                fid = len(faces)
-                walk = []
-                u = s
-                while labels[u][i] < 0:
-                    walk.append(u)
-                    labels[u][i] = fid
-                    v = rots[u][i]
-                    i = index[v][u] + 1
-                    if i == len(rots[v]):
-                        i = 0
-                    u = v
-                faces.append(tuple(walk))
-        isolated = sum(1 for rot in self.rotations if not rot)
+        try:
+            for s, rot in enumerate(rots):
+                for t in sorted(rot):
+                    i = index[s][t]
+                    if labels[s][i] >= 0:
+                        continue
+                    fid = len(faces)
+                    walk = []
+                    u = s
+                    while labels[u][i] < 0:
+                        walk.append(u)
+                        labels[u][i] = fid
+                        v = rots[u][i]
+                        i = index[v][u] + 1
+                        if i == len(rots[v]):
+                            i = 0
+                        u = v
+                    faces.append(tuple(walk))
+        except KeyError:
+            raise EmbeddingError(f"asymmetric adjacency between {u} and {v}") from None
         # One face per single-vertex component is implicit (no darts).
-        euler = self.n - self.edge_count + len(faces) + isolated
+        euler = n - self.edge_count + len(faces) + rots.count(())
         if euler != 2 * self.component_count:
             raise EmbeddingError(
                 "rotation system is not planar: V-E+F = "
@@ -191,23 +189,14 @@ class PlaneGraph:
         # _dart_face[u][i] is the face of dart (u, rotations[u][i])
         self._dart_face = tuple(map(tuple, labels))
         self._class: GraphClass | None = None
-        self.outer_face_id = self._resolve_outer(outer_dart)
-
-    def _resolve_outer(self, outer_dart) -> int:
-        if outer_dart is not None:
-            fid = self._face_id(*outer_dart) if len(outer_dart) == 2 else None
-            if fid is None:
-                raise EmbeddingError(f"dart {outer_dart} not present")
-            return fid
-        # No hint: the first longest walk.  Walks start at their smallest dart
-        # and ids follow it, so it is the smallest among the longest.
-        return max(range(len(self.faces)), key=lambda f: len(self.faces[f]))
-
-    def _face_id(self, u: int, v: int) -> int | None:
-        """The face of dart (u, v), or None when the graph has no such dart."""
-        if not (0 <= u < self.n) or v not in self._adj[u]:
-            return None
-        return self._dart_face[u][self.rotations[u].index(v)]
+        try:  # no hint: of the longest walks, the one with the smallest id
+            self.outer_face_id = (
+                self.faces.index(max(self.faces, key=len))
+                if outer_dart is None
+                else self.face_of_dart(*outer_dart)
+            )
+        except (TypeError, ValueError):
+            raise EmbeddingError(f"dart {outer_dart} not present") from None
 
     # -- accessors ---------------------------------------------------------
 
@@ -240,10 +229,9 @@ class PlaneGraph:
         return v in self._adj[u]
 
     def face_of_dart(self, u: int, v: int) -> int:
-        fid = self._face_id(u, v)
-        if fid is None:
+        if not (0 <= u < self.n) or v not in self._adj[u]:
             raise ValueError(f"no dart ({u}, {v}) in this graph")
-        return fid
+        return self._dart_face[u][self.rotations[u].index(v)]
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self._adj)

@@ -235,7 +235,12 @@ def _face_trace(face, **fields) -> str:
 @pytest.mark.parametrize(
     "command, text, message",
     [
-        ("dominate", "0 0\n1 x\n", "invalid literal for int()"),
+        ("dominate", "0 0\n1 x\n", "line 2: '1 x' is not of the form `vertex class`"),
+        (
+            "dominate",
+            "# coloring k=x\n0 0\n",
+            "line 1: '# coloring k=x' is not of the form `# coloring k=K`",
+        ),
         ("dominate", "0 1 2\n", "line 1: '0 1 2' is not of the form `vertex class`"),
         ("dominate", "0 0\n1\n", "line 2: '1' is not of the form `vertex class`"),
         ("dominate", "0 0\n1 1\n2 2\n", "coloring covers 3 vertices, graph has 9"),
@@ -269,7 +274,7 @@ def _face_trace(face, **fields) -> str:
         ("color", "[1, 2]", "trace [1, 2] is not dict"),
         ("audit", "not json\n", "Expecting value"),
         ("audit", '{"graph_id": "g"}\n', "missing field 'records'"),
-        ("audit", _report_line('"1/0"'), "Fraction(1, 0)"),
+        ("audit", _report_line('"1/0"'), "number '1/0' is not of the form p or p/q"),
         ("audit", _report_line("Infinity"), "number inf is not of the form p or p/q"),
         ("audit", _report_line('"1e4000000"'), "'1e4000000' is not of the form p or p/q"),
         ("audit", _report_line('"1"', level="bogus"), "unknown level 'bogus'"),
@@ -289,6 +294,7 @@ def _face_trace(face, **fields) -> str:
     ],
     ids=[
         "coloring-token",
+        "coloring-header-token",
         "coloring-three-tokens",
         "coloring-one-token",
         "coloring-length",
@@ -343,7 +349,7 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, me
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err and str(f) in err
-    assert "Traceback" not in err and "unpack" not in err
+    assert "Traceback" not in err and "unpack" not in err and "invalid literal" not in err
     # Python's own messages for a value of the wrong JSON type
     assert not any(m in err for m in ("not iterable", "unhashable", "indices must be"))
 
@@ -651,6 +657,15 @@ def test_sweep_bad_config_is_usage_error(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("config error:") and bad.split()[0] in err
         assert form in err and "unpack" not in err
+
+
+def test_negative_step_count_and_empty_size_list_are_usage_errors(tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "eulerian", "--t", "-1")
+    assert (code, out, err) == (2, "", "step count must be >= 0, got -1\n")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("families = random\nrandom.n = ,\n")
+    code, out, err = run(capsys, "sweep", "-c", str(cfg))
+    assert (code, out, err) == (2, "", "config error: random.n: no integers in ','\n")
 
 
 def test_sweep_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -112,6 +112,48 @@ def test_malformed_rotations_rejected():
         PlaneGraph([[7]])
 
 
+def _k4_without(v: int, u: int) -> list[list[int]]:
+    """K4's rotations with u struck from v's list, so dart (u, v) is one-sided."""
+    rot = [list(r) for r in K4_ROT]
+    rot[v].remove(u)
+    return rot
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PlaneGraph([]), "a plane graph needs at least one vertex"),
+        (lambda: PlaneGraph([[1, 7], [0]]), "vertex 0 lists unknown neighbor 7"),
+        (lambda: PlaneGraph([[1], [1, 0]]), "loop at vertex 1"),
+        (lambda: PlaneGraph([[1], [0, 0]]), "parallel edge in rotation of vertex 1"),
+        (lambda: PlaneGraph(_k4_without(2, 0)), "asymmetric adjacency between 0 and 2"),
+        (lambda: PlaneGraph(_k4_without(0, 3)), "asymmetric adjacency between 3 and 0"),
+        (lambda: PlaneGraph(K4_ROT, outer_dart=(0, 1, 2)), "dart (0, 1, 2) not present"),
+        (lambda: parse_pgr("pgr 1 x\n"), "bad pgr header: 'pgr 1 x'"),
+        (lambda: parse_pgr("pgr 1 2\n0 1\n1: 0\n"), "bad vertex line: '0 1'"),
+        (lambda: parse_pgr("pgr 1 2\na: 1\n1: 0\n"), "bad vertex line: 'a: 1'"),
+        (lambda: parse_pgr("pgr 1 2\n0: 1\n2: 0\n"), "vertex id 2 out of range"),
+    ],
+    ids=[
+        "no-vertex",
+        "unknown-neighbor",
+        "loop",
+        "parallel",
+        "one-sided-from-0",
+        "one-sided-from-last",
+        "outer-triple",
+        "pgr-header-token",
+        "pgr-line-no-colon",
+        "pgr-line-token",
+        "pgr-vertex-range",
+    ],
+)
+def test_construction_errors_name_the_fault(build, message):
+    with pytest.raises(EmbeddingError) as e:
+        build()
+    assert str(e.value) == message
+
+
 def test_outer_hints():
     g = PlaneGraph(K4_ROT, outer_dart=(1, 2))
     assert set(g.outer_face) == {0, 1, 2}
@@ -414,6 +456,15 @@ def test_flip_rejects_missing_edge_and_non_triangulations():
     with pytest.raises(ValueError):
         flip_edge(rot, *non_edge)
     assert rot == [list(r) for r in g.rotations]
+
+
+def test_flip_on_the_bare_triangle_is_degenerate():
+    g = random_triangulation(3, 1)
+    rot = [list(r) for r in g.rotations]
+    with pytest.raises(EmbeddingError) as e:
+        flip_edge(rot, 0, 1)
+    assert str(e.value) == "flip of (0, 1) is degenerate (same apex twice)"
+    assert rot == [[1, 2], [0, 2], [0, 1]]
 
 
 def test_pgr_round_trip():
