@@ -34,6 +34,7 @@ from .domination import (
     class_combinator,
     exact_gamma,
     exact_iota,
+    faces_inequality_rows,
 )
 from .generators import BuildTrace
 from .harness import (
@@ -48,7 +49,6 @@ from .plane_graph import (
     NEAR_OR_PLANAR,
     EmbeddingError,
     InvariantBreach,
-    check_faces_inequality,
     classify,
     load_pgr,
     neighborhood_structure,
@@ -242,9 +242,9 @@ def _cmd_verify(args) -> int:
     )
     ok = cls.category.value != "invalid"
     if g.is_connected and g.n >= 2:
-        rep = check_faces_inequality(g)
-        print(f"faces_inequality: {rep.lhs} <= {rep.rhs} {'ok' if rep.holds else 'FAIL'}")
-        ok = ok and rep.holds
+        row = faces_inequality_rows(g)[0]
+        print(f"faces_inequality: {row.lhs} <= {row.rhs} {'ok' if row.holds else 'FAIL'}")
+        ok = ok and row.holds
     if cls.category in NEAR_OR_PLANAR and g.n >= 4:
         try:
             for v in g.vertices():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .coloring import Coloring, is_proper
+from .coloring import Coloring, _require_proper
 from .plane_graph import (
     NEAR_OR_PLANAR,
     Category,
@@ -76,8 +76,7 @@ def is_independent(g: PlaneGraph, s) -> bool:
 
 def undominated_by(g: PlaneGraph, c: Coloring, i: int) -> frozenset[int]:
     """Vertices not dominated by color class i."""
-    if not is_proper(g, c):
-        raise ValueError("coloring is not proper")
+    _require_proper(g, c)
     return frozenset(g.vertices()) - closed_neighborhood(g, c.class_members(i))
 
 
@@ -103,8 +102,7 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
     directly.  Only the sets it may return are checked here; the lemmas
     behind their sizes are rows of `verify_combinator_accounting`.
     """
-    if not is_proper(g, c):
-        raise ValueError("coloring is not proper")
+    _require_proper(g, c)
     members = [c.class_members(i) for i in range(c.k)]
     everything = frozenset(g.vertices())
     u_sets = tuple(everything - closed_neighborhood(g, m) for m in members)

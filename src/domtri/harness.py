@@ -72,13 +72,13 @@ from .plane_graph import (
 # -- report records -----------------------------------------------------------
 
 def _parse_frac(text) -> Fraction:
-    """The inverse of str(Fraction), whose denominators are positive and have no
-    leading 0; Fraction() alone also takes 1e4000000, slowly."""
+    """The inverse of str(Fraction): only text that it writes for some number
+    is taken (so no "4/2", "007" or "-0").  Fraction() alone also takes
+    1e4000000, slowly."""
     m = isinstance(text, str) and re.fullmatch(r"(-?[0-9]+)(?:/([1-9][0-9]*))?", text)
-    if not m:
+    if not m or str(x := Fraction(int(m[1]), int(m[2] or 1))) != text:
         raise ValueError(f"number {text!r} is not of the form p or p/q")
-    p, q = m.groups()
-    return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    return x
 
 
 # the JSON types each BoundReport annotation admits
@@ -347,13 +347,7 @@ def _combinator_checks(ctx: _Ctx, g: PlaneGraph, cls):
 
 def _alpha_checks(ctx: _Ctx, g: PlaneGraph, c: Coloring, res: DominationResult):
     rec = odd_degree_analysis(g, c, combinator_result=res)
-    ctx.rec(
-        "alpha_combinator_bound",
-        rec.combinator_size,
-        rec.bound,
-        "<=",
-        "finding",
-    )
+    ctx.rec("alpha_combinator_bound", res.size, rec.bound, "<=", "finding")
     if rec.alpha == 1:
         ctx.rec("all_odd_classes_dominating", rec.non_dominating_classes, 0, "<=", "invariant")
 
@@ -659,7 +653,6 @@ def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
 @dataclass(frozen=True)
 class OddDegreeRecord:
     alpha: Fraction
-    combinator_size: int
     bound: Fraction  # (2 - alpha) * n / 4
     non_dominating_classes: int
 
@@ -686,7 +679,6 @@ def odd_degree_analysis(
     alpha = Fraction(sum(d % 2 for d in g.degrees()), g.n)
     return OddDegreeRecord(
         alpha=alpha,
-        combinator_size=res.size,
         bound=(2 - alpha) * Fraction(g.n, 4),
         # a class dominates iff its U_i is empty
         non_dominating_classes=sum(1 for u in res.undominated if u),

@@ -56,12 +56,6 @@ class GraphClass:
 
 
 @dataclass(frozen=True)
-class NeighborhoodStructure:
-    kind: str  # "cycle" or "path"
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FacesInequalityReport:
     """f_4 + 2*sum(f_i, i>=6) against |V|-2, plus the strengthened form."""
 
@@ -377,32 +371,30 @@ def _after(rot: Sequence[Sequence[int]], v: int, u: int) -> int:
 # -- neighborhood structure --------------------------------------------------
 
 
-def neighborhood_structure(g: PlaneGraph, v: int) -> NeighborhoodStructure:
-    """Spanning cycle or spanning path of G[N(v)], for near triangulations,
-    read off the rotation of v.
+def neighborhood_structure(g: PlaneGraph, v: int) -> str:
+    """"cycle" or "path": whether G[N(v)] of a near triangulation has a
+    spanning cycle or only a spanning path, read off the rotation of v.
 
     Every face at v except the outer one is a triangle, so consecutive
     rotation neighbours are adjacent except across a gap of the outer
-    face.  A closed link (no gap, degree >= 3) is the cycle.  Otherwise v
-    must lie on a non-triangle outer face, and the rotation opened at its
-    only gap is the path.  Anything else breaches the dichotomy.
+    face.  A closed link (no gap, degree >= 3) is a cycle.  Otherwise v
+    must lie on a non-triangle outer face and have at most one gap, where
+    the rotation opens into the path.  Anything else breaches the
+    dichotomy.
     """
     nbrs = g.rotation(v)
-    d = len(nbrs)
-    gaps = [i for i in range(d) if nbrs[(i + 1) % d] not in g._adj[nbrs[i]]]
-    if not gaps and d >= 3:
-        return NeighborhoodStructure("cycle", tuple(nbrs))
+    adj = g._adj
+    gaps = sum(b not in adj[a] for a, b in zip(nbrs, nbrs[1:] + nbrs[:1]))
+    if not gaps and len(nbrs) >= 3:
+        return "cycle"
     if v not in g.outer_face or len(g.outer_face) == 3:
         raise InvariantBreach(
             f"vertex {v}: link is not a cycle although it is interior or the "
             "outer face is a triangle"
         )
-    if not gaps:
-        return NeighborhoodStructure("path", tuple(nbrs))
-    if len(gaps) > 1:
-        raise InvariantBreach(f"vertex {v}: link has {len(gaps)} gaps, not a path")
-    cut = gaps[0] + 1
-    return NeighborhoodStructure("path", tuple(nbrs[cut:] + nbrs[:cut]))
+    if gaps > 1:
+        raise InvariantBreach(f"vertex {v}: link has {gaps} gaps, not a path")
+    return "path"
 
 
 # -- faces inequality ---------------------------------------------------------

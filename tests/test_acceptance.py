@@ -271,15 +271,16 @@ def test_criterion_09_odd_degree_properties():
         c = four_coloring(g)
         for k in range(4):
             assert is_dominating(g, c.class_members(k)), gid
-        rec = odd_degree_analysis(g, c, combinator_result=class_combinator(g, c))
+        res = class_combinator(g, c)
+        rec = odd_degree_analysis(g, c, combinator_result=res)
         assert rec.alpha == 1, gid
         assert rec.non_dominating_classes == 0, gid
         # the combinator returns an independent dominating set, so the
         # minimum one can be no larger
         iota = exact_iota(g).size
-        assert iota <= rec.combinator_size, gid
+        assert iota <= res.size, gid
         assert iota <= rec.bound, gid
-        if rec.combinator_size > rec.bound:
+        if res.size > rec.bound:
             violations.append(gid)
     assert violations == []
 

@@ -277,6 +277,12 @@ def _face_trace(face, **fields) -> str:
         ("audit", _report_line('"1/0"'), "number '1/0' is not of the form p or p/q"),
         ("audit", _report_line("Infinity"), "number inf is not of the form p or p/q"),
         ("audit", _report_line('"1e4000000"'), "'1e4000000' is not of the form p or p/q"),
+        ("audit", _report_line('"4/2"'), "number '4/2' is not of the form p or p/q"),
+        ("audit", _report_line('"3/1"'), "number '3/1' is not of the form p or p/q"),
+        ("audit", _report_line('"0/5"'), "number '0/5' is not of the form p or p/q"),
+        ("audit", _report_line('"007"'), "number '007' is not of the form p or p/q"),
+        ("audit", _report_line('"-0"'), "number '-0' is not of the form p or p/q"),
+        ("audit", _report_line('"-0/3"'), "number '-0/3' is not of the form p or p/q"),
         ("audit", _report_line('"1"', level="bogus"), "unknown level 'bogus'"),
         ("audit", _report_line('"1"').replace('"a"', '["a"]'), "name ['a'] is not str"),
         ("audit", _full_report_line(graph_id=[1]), "graph_id [1] is not str"),
@@ -319,6 +325,12 @@ def _face_trace(face, **fields) -> str:
         "report-zero-denominator",
         "report-infinite-lhs",
         "report-exponent-lhs",
+        "report-unreduced-lhs",
+        "report-unit-denominator",
+        "report-zero-numerator",
+        "report-leading-zero",
+        "report-negative-zero",
+        "report-negative-zero-fraction",
         "report-unknown-level",
         "report-list-name",
         "report-list-graph-id",

@@ -34,7 +34,7 @@ from domtri.generators import (
     split_seed,
 )
 from domtri.harness import odd_degree_analysis
-from domtri.plane_graph import InvariantBreach, PlaneGraph
+from domtri.plane_graph import InvariantBreach, PlaneGraph, parse_pgr, to_pgr
 
 HEX_DISK_ROT = [[1, 2, 3, 4, 5], [2, 0], [1, 3, 0], [0, 2, 4], [5, 0, 3], [0, 4]]
 
@@ -147,7 +147,8 @@ def test_check_chain_checks_properness_twice(monkeypatch, build, fallback):
         return original(*args)
 
     original = coloring.is_proper
-    for module in (coloring, domination, harness):
+    # domination checks through coloring._require_proper
+    for module in (coloring, harness):
         monkeypatch.setattr(module, "is_proper", counted)
     classified = []
 
@@ -340,6 +341,36 @@ def test_combinator_icosahedron():
     # every class already dominates, so no S_i vertices are added
     assert r.union_s == frozenset()
     assert is_independent(g, r.vertices) and is_dominating(g, r.vertices)
+
+
+def _replay_text(exc) -> str:
+    """The map of a combinator breach: its lines after the first, up to any
+    `coloring=` line."""
+    return str(exc.value).split("\n", 1)[1].split("\ncoloring=")[0]
+
+
+def test_combinator_breach_carries_the_map(monkeypatch):
+    g = random_triangulation(20, 2)
+    c = four_coloring(g)
+    assert undominated_by(g, c, 3)  # so C_3 alone is not dominating
+    monkeypatch.setattr(domination, "greedy_independent", lambda g, vs: frozenset())
+    with pytest.raises(InvariantBreach, match="class 3 union S_3 is not independent dominating") as exc:
+        class_combinator(g, c)
+    assert _replay_text(exc) == to_pgr(g)
+    assert parse_pgr(_replay_text(exc)) == g
+
+
+def test_combinator_fallback_breach_carries_the_map(monkeypatch):
+    # the path 0-1-2-3-4 colored 0,1,2,0,1 with class 3 empty: no vertex
+    # lies in a triangle, so the fallback runs only with _in_triangle patched,
+    # and its smallest class {2} misses 0 and 4
+    g = PlaneGraph([[1], [0, 2], [1, 3], [2, 4], [3]])
+    c = Coloring(4, (0, 1, 2, 0, 1))
+    monkeypatch.setattr(domination, "_in_triangle", lambda g, v: True)
+    with pytest.raises(InvariantBreach, match="nonempty class 2 does not dominate") as exc:
+        class_combinator(g, c)
+    assert _replay_text(exc) == to_pgr(g)
+    assert parse_pgr(_replay_text(exc)) == g
 
 
 def test_accounting_icosahedron():

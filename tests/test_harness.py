@@ -12,6 +12,7 @@ from domtri.generators import (
     icosahedron,
     k4,
     near_triangulation_from,
+    octahedron,
     random_triangulation,
     replay,
 )
@@ -26,7 +27,7 @@ from domtri.harness import (
     render_table,
     run_sweep,
 )
-from domtri.plane_graph import to_pgr
+from domtri.plane_graph import InvariantBreach, to_pgr
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -299,7 +300,8 @@ def test_eulerian_checks_check_properness_a_fixed_number_of_times(monkeypatch):
         return original(*args)
 
     original = coloring.is_proper
-    for module in (coloring, domination, harness):
+    # domination checks through coloring._require_proper
+    for module in (coloring, harness):
         monkeypatch.setattr(module, "is_proper", counted)
     cfg = "families = eulerian\neulerian.t = 100\neulerian.seeds = 1\n"
     (rep,) = run_sweep(parse_sweep_config(cfg))
@@ -308,6 +310,19 @@ def test_eulerian_checks_check_properness_a_fixed_number_of_times(monkeypatch):
     # six_coloring_proper row, is_r_dynamic and class_combinator on the
     # 6-coloring.  Checking it per missing-color read made 500.
     assert len(passes) == 5
+
+
+def test_link_breach_is_a_sweep_error_row(monkeypatch, tmp_path):
+    def breach(g, v):
+        raise InvariantBreach(f"vertex {v}: broken link\n{to_pgr(g)}")
+
+    monkeypatch.setattr(harness, "neighborhood_structure", breach)
+    (rep,) = run_sweep(parse_sweep_config("families = octahedron\n"))
+    assert not rep.holds
+    assert "vertex_link_dichotomy" not in {r.name for r in rep.records}
+    assert rep.errors == (f"vertex-link: vertex 0: broken link\n{to_pgr(octahedron())}",)
+    tsv, _ = emit([rep], tmp_path / "r")
+    assert "\terror\tvertex-link: vertex 0: broken link\t-\t-\tNO\t-\n" in tsv.read_text()
 
 
 def test_improper_six_coloring_is_an_evaluate_error(monkeypatch):
@@ -424,10 +439,11 @@ def test_render_table_marks_failures():
 def test_odd_degree_analysis_icosahedron():
     g = icosahedron()
     c = four_coloring(g)
-    rec = odd_degree_analysis(g, c, combinator_result=class_combinator(g, c))
+    res = class_combinator(g, c)
+    rec = odd_degree_analysis(g, c, combinator_result=res)
     assert rec.alpha == 1  # all 12 degrees are odd
     assert rec.bound == Fraction(3)
-    assert rec.combinator_size == 3 <= rec.bound
+    assert res.size == 3 <= rec.bound
     assert rec.non_dominating_classes == 0
     iota = exact_iota(g).size
     assert iota == 2 and iota <= rec.bound

@@ -350,21 +350,34 @@ def test_edgeless_maps_have_one_empty_face():
     assert not h.is_connected
 
 
+def link_steps(g: PlaneGraph, v: int, kind: str) -> tuple[list[int], list[tuple[int, int]]]:
+    """The spanning cycle or path of G[N(v)] that `kind` claims, rebuilt from
+    the rotation at v: the rotation closed up, or opened after its one gap."""
+    r = list(g.rotation(v))
+    gaps = [i for i in range(len(r)) if not g.has_edge(r[i], r[(i + 1) % len(r)])]
+    if kind == "cycle":
+        assert not gaps and len(r) >= 3
+        return r, list(zip(r, r[1:] + r[:1]))
+    assert kind == "path" and len(gaps) <= 1
+    cut = gaps[0] + 1 if gaps else 0
+    vs = r[cut:] + r[:cut]
+    return vs, list(zip(vs, vs[1:]))
+
+
 def test_neighborhood_structure_dichotomy():
     g = icosahedron()
     for v in g.vertices():
-        ns = neighborhood_structure(g, v)
-        assert ns.kind == "cycle"
-        assert sorted(ns.vertices) == sorted(g.neighbors(v))
+        assert neighborhood_structure(g, v) == "cycle"
+        vs, steps = link_steps(g, v, "cycle")
+        assert sorted(vs) == sorted(g.neighbors(v))
+        assert all(g.has_edge(a, b) for a, b in steps)
 
     disk = hex_disk()
-    ns = neighborhood_structure(disk, 3)  # boundary vertex, outer face big
-    assert ns.kind in ("cycle", "path")
-    if ns.kind == "path":
-        assert sorted(ns.vertices) == sorted(disk.neighbors(3))
-        assert all(
-            disk.has_edge(a, b) for a, b in zip(ns.vertices, ns.vertices[1:])
-        )
+    kind = neighborhood_structure(disk, 3)  # boundary vertex, outer face big
+    assert kind in ("cycle", "path")
+    vs, steps = link_steps(disk, 3, kind)
+    assert sorted(vs) == sorted(disk.neighbors(3))
+    assert all(disk.has_edge(a, b) for a, b in steps)
 
 
 def test_neighborhood_structure_reads_the_rotation():
@@ -374,22 +387,33 @@ def test_neighborhood_structure_reads_the_rotation():
     kinds = set()
     t0 = time.perf_counter()
     for v in g.vertices():
-        ns = neighborhood_structure(g, v)
-        kinds.add(ns.kind)
-        vs = ns.vertices
-        assert sorted(vs) == sorted(g.neighbors(v))
-        steps = zip(vs, vs[1:] + vs[:1]) if ns.kind == "cycle" else zip(vs, vs[1:])
-        assert all(g.has_edge(a, b) for a, b in steps)
+        kinds.add(neighborhood_structure(g, v))
     assert time.perf_counter() - t0 < 0.5
     assert kinds == {"cycle", "path"}
+    for v in g.vertices():
+        vs, steps = link_steps(g, v, neighborhood_structure(g, v))
+        assert sorted(vs) == sorted(g.neighbors(v))
+        assert all(g.has_edge(a, b) for a, b in steps)
 
 
 def test_neighborhood_structure_breach_on_bad_input():
     # A star's hub has an edgeless neighborhood: no cycle, and the outer
     # face is large, so the path case is also impossible for degree >= 2.
     star = PlaneGraph([[1, 2, 3], [0], [0], [0]])
-    with pytest.raises(InvariantBreach):
+    with pytest.raises(InvariantBreach, match="vertex 0: link has 3 gaps, not a path"):
         neighborhood_structure(star, 0)
+    # A hexagon whose centre 6 is joined to rim vertices 0, 2 and 4: the
+    # centre is interior, but no two of its neighbours are adjacent.
+    rim = [[1, 5], [2, 0], [3, 1], [4, 2], [5, 3], [0, 4]]
+    for u in (0, 2, 4):
+        rim[u].insert(1, 6)
+    g = PlaneGraph(rim + [[0, 2, 4]], outer_dart=(0, 1))
+    assert g.outer_face == (0, 1, 2, 3, 4, 5)
+    with pytest.raises(
+        InvariantBreach,
+        match="vertex 6: link is not a cycle although it is interior or the outer face is a triangle",
+    ):
+        neighborhood_structure(g, 6)
 
 
 def test_faces_inequality_on_hex_disk():
