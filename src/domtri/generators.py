@@ -290,62 +290,39 @@ def replay(trace: BuildTrace) -> PlaneGraph:
 
 
 # -- diamond chain ------------------------------------------------------------
-#
-# One gadget: diamond a-b-d-c (edges ab, ac, bc, bd, cd), a small triangle
-# t1-t2-t3 inside face a-b-c (t1 joined to a and b, t2 to a and c, t3 to
-# b and c) and a lone vertex v4 inside face b-c-d joined to b, c, d.  The
-# apex a of gadget i is vertex d of gadget i-1; k gadgets close into a
-# ring, so the graph has 7k vertices.  The two leftover 2k-gon faces
-# (apexes alternating with b's, apexes alternating with c's) are
-# triangulated by a fixed fan rule.
-#
-# Per-gadget CCW rotations, local names, derived from the drawing with
-# a=(0,0), b=(2,1), c=(2,-0.62), d=(4,0), t1/t2/t3 on a small circle
-# around the centroid of a,b,c and v4 at the centroid of b,c,d:
-
-_GADGET_ROT = {
-    "b": ("a", "t1", "t3", "c", "v4", "d"),
-    "c": ("d", "v4", "b", "t3", "t2", "a"),
-    "t1": ("b", "a", "t2", "t3"),
-    "t2": ("t3", "t1", "a", "c"),
-    "t3": ("b", "t1", "t2", "c"),
-    "v4": ("b", "c", "d"),
-}
-_APEX_ARC_AS_A = ("c", "t2", "t1", "b")  # CCW arc at an apex, own gadget
-_APEX_ARC_AS_D = ("b", "v4", "c")  # CCW arc at an apex, previous gadget
 
 
 def diamond_chain(k: int) -> PlaneGraph:
     """Ring of k diamond gadgets on 7k vertices; a planar triangulation
     whose minimum independent dominating set has exactly 2 vertices per
-    gadget.  k = 1 is rejected (it would need parallel edges)."""
+    gadget.  k = 1 is rejected (it would need parallel edges).
+
+    Gadget i is the diamond a-b-d-c (edges ab, ac, bc, bd, cd) with a
+    triangle t1-t2-t3 inserted into face a-b-c (t1 joined to a and b, t2
+    to a and c, t3 to b and c) and a vertex v4 stacked into face b-c-d.
+    Its d is the next gadget's a, so the diamonds close into a ring whose
+    two 2k-gons, the c's and the b's alternating with the apexes, are
+    fanned.  Gadget i's a, b, c, t1, t2, t3, v4 are vertices 7i .. 7i + 6.
+    """
     if k < 2:
         raise ValueError(f"diamond chain needs k >= 2, got {k}")
-
-    def vid(i: int, name: str) -> int:
-        i %= k
-        if name == "a":
-            return 7 * i
-        if name == "d":
-            return 7 * ((i + 1) % k)
-        return 7 * i + 1 + ("b", "c", "t1", "t2", "t3", "v4").index(name)
-
-    n = 7 * k
-    rot: list[list[int]] = [[] for _ in range(n)]
-    for i in range(k):
-        for name, arc in _GADGET_ROT.items():
-            rot[vid(i, name)] = [vid(i, nb) for nb in arc]
-        # apex i: previous gadget's d-side arc then own a-side arc
-        rot[vid(i, "a")] = [vid(i - 1, nb) for nb in _APEX_ARC_AS_D] + [
-            vid(i, nb) for nb in _APEX_ARC_AS_A
-        ]
-    # The ring leaves two 2k-gons: c's alternating with apexes, and, walked
-    # backwards, apexes alternating with b's, which is the outer face.
-    c_walk = [x for i in range(k) for x in (vid(i, "c"), vid(i, "d"))]
-    b_walk = [x for i in range(k, 0, -1) for x in (vid(i, "a"), vid(i - 1, "b"))]
-    _fan_face(rot, b_walk)
-    _fan_face(rot, c_walk)
-    return PlaneGraph(rot, outer_dart=(b_walk[0], b_walk[1]))
+    m = 3 * k  # the ring: a_i = 3i, b_i = 3i + 1, c_i = 3i + 2, d_i = a_{i+1}
+    rot = []
+    for a in range(0, m, 3):
+        d = (a + 3) % m
+        rot += [[(a - 2) % m, (a - 1) % m, a + 2, a + 1], [a, a + 2, d], [d, a + 1, a]]
+    # Walked backwards from a_0, the b's alternate with the apexes in one
+    # 2k-gon, the outer face, with dart (a_0, b_{k-1}); the c's do in the other.
+    _fan_face(rot, [x for a in range(m, 0, -3) for x in (a % m, a - 2)])
+    _fan_face(rot, [x for a in range(0, m, 3) for x in (a + 2, (a + 3) % m)])
+    order = []  # old ids by new id
+    for a in range(0, m, 3):
+        t = len(rot)
+        _triangle_insert(rot, (a, a + 1, a + 2), t, t + 1, t + 2)  # t3, t2, t1
+        _stack(rot, (a + 1, (a + 3) % m, a + 2), t + 3)  # v4
+        order += [a, a + 1, a + 2, t + 2, t + 1, t, t + 3]
+    new = {old: i for i, old in enumerate(order)}
+    return PlaneGraph([[new[w] for w in rot[v]] for v in order], outer_dart=(0, new[m - 2]))
 
 
 def diamond_chain_witness(k: int) -> frozenset[int]:

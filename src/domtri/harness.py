@@ -185,6 +185,14 @@ class SweepConfig:
         return "\n".join(lines) + "\n"
 
 
+def _int(text: str) -> int:
+    """int(text), with an error that names the text, not Python's literal."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
+
+
 def _parse_ints(raw: str) -> tuple[int, ...]:
     """Accepts '7', '2,5,9' and '4..8' (inclusive, nonempty range)."""
     out: list[int] = []
@@ -194,12 +202,12 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
             if part.count("..") != 1:
                 raise ValueError(f"range {part!r} is not of the form lo..hi")
             lo, hi = part.split("..")
-            span = range(int(lo), int(hi) + 1)
+            span = range(_int(lo), _int(hi) + 1)
             if not span:
                 raise ValueError(f"no integers in range {part!r}")
             out.extend(span)
         elif part:
-            out.append(int(part))
+            out.append(_int(part))
     if not out:
         raise ValueError(f"no integers in {raw!r}")
     return tuple(out)
@@ -220,7 +228,7 @@ def _parse_sizes(raw: str) -> tuple[int, ...]:
 
 def _parse_count(raw: str) -> int:
     """A count: an integer >= 0."""
-    value = int(raw)
+    value = _int(raw)
     if value < 0:
         raise ValueError(f"must be >= 0, got {value}")
     return value
@@ -241,7 +249,7 @@ def _parse_pairs(raw: str) -> tuple[tuple[int, int], ...]:
         if part.count(":") != 1:
             raise ValueError(f"pair {part!r} is not of the form n:seed")
         a, b = part.split(":")
-        out.append((int(a), int(b)))
+        out.append((_int(a), _int(b)))
     return _once("pairs", tuple(out))
 
 
@@ -262,7 +270,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
         raw = values.pop(key, default)
         return raw if parse is None else _parse_key(key, parse, raw)
 
-    seed = take("seed", "1", int)
+    seed = take("seed", "1", _int)
     fams = tuple(f.strip() for f in take("families", "").split(",") if f.strip())
     unknown = [f for f in fams if f not in FAMILIES]
     if unknown:

@@ -451,6 +451,19 @@ def test_accounting_catches_misplaced_holes(monkeypatch, n, seed, row):
         verify_combinator_accounting(g, c, r)
 
 
+def test_accounting_disconnected_h_carries_the_map(monkeypatch):
+    g = random_triangulation(20, 2)
+    c = four_coloring(g)
+    r = class_combinator(g, c)
+    two_points = PlaneGraph([[], []])
+    monkeypatch.setattr(domination, "delete_vertices", lambda g, s: (two_points, {}))
+    with pytest.raises(InvariantBreach, match="^H = G - S is disconnected\n") as exc:
+        verify_combinator_accounting(g, c, r)
+    text = str(exc.value).split("\n", 1)[1]
+    assert text == f"{to_pgr(g)}\nS={sorted(r.union_s)}"
+    assert parse_pgr(text.split("\nS=")[0]) == g
+
+
 def _edge_outside(g, s):
     return next((u, v) for u, v in g.edges() if u not in s and v not in s)
 

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domtri import generators
 from domtri.coloring import four_coloring
 from domtri.domination import is_dominating, is_independent
 from domtri.generators import (
+    MIN5_WALKS,
     BuildTrace,
     TraceStep,
     diamond_chain,
@@ -151,6 +153,17 @@ def test_diamond_chain():
         assert is_dominating(g, wit)
     with pytest.raises(ValueError):
         diamond_chain(1)
+
+
+def test_diamond_chain_is_pinned():
+    # Digest of to_pgr taken when each gadget's rotations were written out
+    # by hand; the chain grown by insertion steps must give the same maps.
+    digest = hashlib.sha256()
+    for k in (*range(2, 41), 143):
+        digest.update(to_pgr(diamond_chain(k)).encode())
+    assert digest.hexdigest() == (
+        "f1a49d1d3349b3fed97860c6ef4f94a63407c2427f2fb1e604aa5c7e6c5e7bbd"
+    )
 
 
 def test_k4_chain():
@@ -407,6 +420,24 @@ def test_min_degree5_sample():
     assert min_degree5_sample(14, 0) is None or min(
         min_degree5_sample(14, 0).degrees()
     ) == 5
+
+
+@pytest.mark.parametrize("hit", [0, 3, None])
+def test_min_degree5_sample_draws_the_sweeps_flip_walks(monkeypatch, hit):
+    # Walk `attempt` is random_triangulation(n, split_seed(seed, 2, attempt),
+    # flips=6n), as in the sweep; the first map of minimum degree 5 is
+    # returned, and after MIN5_WALKS misses the answer is None.
+    calls = []
+
+    def walk(n, seed, flips=None):
+        calls.append((n, seed, flips))
+        return icosahedron() if len(calls) - 1 == hit else octahedron()
+
+    monkeypatch.setattr(generators, "random_triangulation", walk)
+    g = min_degree5_sample(14, 9)
+    walks = MIN5_WALKS if hit is None else hit + 1
+    assert calls == [(14, split_seed(9, 2, a), 84) for a in range(walks)]
+    assert g == (None if hit is None else icosahedron())
 
 
 def test_all_odd_seeds_regenerate():

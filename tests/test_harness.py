@@ -150,7 +150,7 @@ def test_parse_config_rejects_bad_input():
         parse_sweep_config("families = near\nnear.n = 6..5\n")
     with pytest.raises(ValueError, match="near.n: no integers in range '6..5'"):
         parse_sweep_config("families = near\nnear.n = 4, 6..5\n")
-    with pytest.raises(ValueError, match="^seed: invalid literal"):
+    with pytest.raises(ValueError, match="^seed: 'abc' is not an integer$"):
         parse_sweep_config("seed = abc\nfamilies = k4\n")
     for key in ("random.count", "iota_max_n", "gamma_max_n"):
         with pytest.raises(ValueError, match=f"^{key}: must be >= 0, got -3"):
@@ -161,6 +161,26 @@ def test_parse_config_rejects_bad_input():
         parse_sweep_config("families = min_degree5\nmin_degree5.budget = -1\n")
     zero = parse_sweep_config("families = random\nrandom.count = 0\n")
     assert zero.get_int("random.count", 200) == 0
+    signed = parse_sweep_config("families = random\nrandom.n = +5, 1_0, 6.. 7\n")
+    assert signed.get_ints("random.n", ()) == (5, 10, 6, 7)  # as int() reads them
+
+
+@pytest.mark.parametrize(
+    "line,error",
+    [
+        ("seed = 1.5", "seed: '1.5' is not an integer"),
+        ("random.count = x", "random.count: 'x' is not an integer"),
+        ("random.n = 4..x", "random.n: 'x' is not an integer"),
+        ("all_odd.instances = 5:x", "all_odd.instances: 'x' is not an integer"),
+        ("iota_max_n = 1e3", "iota_max_n: '1e3' is not an integer"),
+    ],
+)
+def test_parse_config_names_a_non_integer(line, error):
+    # the message names the key and the text, not Python's int() literal
+    with pytest.raises(ValueError) as exc:
+        parse_sweep_config("families = random, all_odd\n" + line + "\n")
+    assert str(exc.value) == error
+    assert "invalid literal" not in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -335,6 +355,43 @@ def test_improper_six_coloring_is_an_evaluate_error(monkeypatch):
     assert rep.records[-1].name == "six_coloring_proper"
     assert rep.records[-1].lhs == 1
     assert rep.errors == ("evaluate: coloring is not proper",)
+
+
+def test_six_coloring_rows_count_the_missing_classes(monkeypatch):
+    # A proper 3-coloring of the octahedron (antipodes 0-3, 2-4 and 1-5
+    # share a class) leaves every vertex three missing classes: all 6
+    # degree-4 vertices have the wrong shape and all 12 edges join equal
+    # missing sets.
+    def three_classes(g, trace):
+        return Coloring(6, (0, 1, 2, 0, 2, 1))
+
+    monkeypatch.setattr(harness, "rec_eulerian_six_coloring", three_classes)
+    cfg = "families = eulerian\neulerian.t = 1\neulerian.seeds = 1\n"
+    (rep,) = run_sweep(parse_sweep_config(cfg))
+    rows = {r.name: r for r in rep.records}
+    assert rows["six_coloring_proper"].holds
+    for name, lhs in (("six_coloring_distinct_missing", 12), ("six_coloring_missing_shape", 6)):
+        assert (rows[name].lhs, rows[name].holds) == (lhs, False), name
+    assert not rep.holds and not rep.errors
+
+
+def test_six_combinator_breach_is_a_sweep_error_row(monkeypatch, tmp_path):
+    def breach_on_six(g, c):
+        if c.k == 6:
+            raise InvariantBreach(f"class 0 union S_0 is not independent dominating\n{to_pgr(g)}")
+        return class_combinator(g, c)
+
+    monkeypatch.setattr(harness, "class_combinator", breach_on_six)
+    cfg = "families = eulerian\neulerian.t = 2\neulerian.seeds = 1\n"
+    (rep,) = run_sweep(parse_sweep_config(cfg))
+    assert not rep.holds
+    assert "eulerian_class_bound" not in {r.name for r in rep.records}
+    assert "combinator_near_5n12" in {r.name for r in rep.records}  # the 4-coloring's
+    (err,) = rep.errors
+    assert err.startswith("six-combinator: class 0 union S_0 is not independent dominating\n")
+    tsv, _ = emit([rep], tmp_path / "r")
+    line = "\terror\tsix-combinator: class 0 union S_0 is not independent dominating\t-\t-\tNO\t-\n"
+    assert line in tsv.read_text()
 
 
 def test_build_failure_is_a_report_error():

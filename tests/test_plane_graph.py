@@ -339,6 +339,12 @@ def test_deletion_placement_boundary():
     assert h.face_of_dart(relabel[a], relabel[b]) == h.outer_face_id
 
 
+def test_deletion_placement_needs_an_inner_face():
+    # K2's one face is its outer face, so no dart of vertex 0 bounds a hole
+    with pytest.raises(InvariantBreach, match="^vertex 0 has no inner face$"):
+        deleted_vertex_region_dart(PlaneGraph([[1], [0]]), 0)
+
+
 def test_edgeless_maps_have_one_empty_face():
     for n in (1, 2):
         g = PlaneGraph([[]] * n)
