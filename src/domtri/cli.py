@@ -39,6 +39,7 @@ from .domination import (
 from .generators import BuildTrace
 from .harness import (
     FAMILIES,
+    _int,
     audit_conjectures,
     emit,
     load_reports,
@@ -63,12 +64,10 @@ class UsageError(Exception):
 
 def _env_seed(default: int) -> int:
     raw = os.environ.get("DOMTRI_SEED")
-    if raw is None:
-        return default
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"DOMTRI_SEED must be an integer, got {raw!r}") from None
+        return default if raw is None else _int(raw)
+    except ValueError as exc:
+        raise UsageError(f"DOMTRI_SEED must be an integer: {exc}") from None
 
 
 @contextlib.contextmanager

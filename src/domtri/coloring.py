@@ -285,9 +285,7 @@ def rec_eulerian_six_coloring(g: PlaneGraph, trace: BuildTrace) -> Coloring:
     distinct singleton missing-color sets, which is exactly what makes
     the next relabeling feasible; infeasibility is a hard error.
     """
-    if trace.family != "recursive_eulerian" or any(
-        s.kind != "triangle" for s in trace.steps
-    ):
+    if any(s.kind != "triangle" for s in trace.steps):
         raise ValueError("six-coloring needs an octahedron-pattern trace")
     if replay(trace) != g:
         raise ValueError("trace does not rebuild the given graph")

@@ -52,26 +52,22 @@ def _typed(name: str, value, *types):
 class TraceStep:
     kind: str  # "stack" or "triangle"
     face: tuple[int, int, int]  # inner face walk the step subdivided
-    new: tuple[int, ...]  # 1 id for stack, 3 ids (a, b, c) for triangle
 
     def __post_init__(self):
         if self.kind not in _STEPS:
             raise ValueError(f"unknown step kind {self.kind!r}")
-        if len(self.new) != _STEPS[self.kind][1]:
-            raise ValueError(f"step {self.kind!r} got new={self.new}")
 
 
 @dataclass(frozen=True)
 class BuildTrace:
     """Replayable construction recipe starting from the base triangle.
 
-    For "triangle" steps the non-adjacency pairing is positional:
-    new[0] is paired with face[0], new[1] with face[1], new[2] with
-    face[2]; each new vertex is adjacent to the two face vertices it is
-    not paired with.
+    Each step adds the next unused ids: one for "stack", three (a, b, c)
+    for "triangle".  A triangle step pairs a with face[0], b with face[1]
+    and c with face[2]; each new vertex is adjacent to the two face
+    vertices it is not paired with.
     """
 
-    family: str
     steps: tuple[TraceStep, ...]
 
     def to_json(self) -> str:
@@ -84,10 +80,8 @@ class BuildTrace:
         for i, s in enumerate(_typed("steps", doc["steps"], list)):
             s = _typed(f"step {i}", s, dict)
             kind = _typed(f"step {i} kind", s["kind"], str)
-            face = tuple(_typed(f"step {i} face", s["face"], list))
-            new = tuple(_typed(f"step {i} new", s["new"], list))
-            steps.append(TraceStep(kind, face, new))
-        return BuildTrace(_typed("family", doc["family"], str), tuple(steps))
+            steps.append(TraceStep(kind, tuple(_typed(f"step {i} face", s["face"], list))))
+        return BuildTrace(tuple(steps))
 
 
 # -- rotation surgery helpers -------------------------------------------------
@@ -145,7 +139,7 @@ def _faces_at(rot, vs):
 
 def k4() -> PlaneGraph:
     """Tetrahedron: outer triangle (0, 1, 2) with 3 inside."""
-    return PlaneGraph([(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1)], outer_dart=(0, 1))
+    return replay(BuildTrace((TraceStep("stack", _TRIANGLE_INNER),)))
 
 
 def octahedron() -> PlaneGraph:
@@ -194,7 +188,7 @@ def _grow(kind, steps, seed, eligible=None):
     """Grow the base triangle by `steps` insertions of one kind, each into
     an inner face drawn uniformly at random from those that
     `eligible(rot, walk)` accepts (all when None).  Returns the rotation
-    lists and the (walk, new) pair of each insertion."""
+    lists and the walk of each insertion."""
     insert, count = _STEPS[kind]
     rng = random.Random(seed)
     rot = [list(r) for r in _TRIANGLE_ROT]
@@ -207,7 +201,7 @@ def _grow(kind, steps, seed, eligible=None):
         walk = pool.pop(rng.randrange(len(pool)))
         new = tuple(range(len(rot), len(rot) + count))
         insert(rot, walk, *new)
-        trace.append((walk, new))
+        trace.append(walk)
         if not eligible:
             for f in _faces_at(rot, new):
                 bisect.insort(pool, f)
@@ -223,8 +217,8 @@ def _grow(kind, steps, seed, eligible=None):
 
 
 def _stacked(n, seed):
-    """The lists and (walk, new) insertions of a stacked triangulation on
-    n vertices."""
+    """The lists and insertion walks of a stacked triangulation on n
+    vertices."""
     if n < 3:
         raise ValueError(f"a stacked triangulation needs n >= 3, got {n}")
     return _grow("stack", n - 3, seed)
@@ -236,8 +230,8 @@ def planar_three_tree(n: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
 
     n = 3 is the bare triangle and n = 4 is K4 regardless of seed.
     """
-    rot, steps = _stacked(n, seed)
-    trace = BuildTrace("three_tree", tuple(TraceStep("stack", *s) for s in steps))
+    rot, walks = _stacked(n, seed)
+    trace = BuildTrace(tuple(TraceStep("stack", w) for w in walks))
     return PlaneGraph(rot, outer_dart=(0, 1)), trace
 
 
@@ -263,8 +257,8 @@ def recursive_eulerian(t: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
     """
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
-    rot, steps = _grow("triangle", t, seed, _eulerian_face)
-    trace = BuildTrace("recursive_eulerian", tuple(TraceStep("triangle", *s) for s in steps))
+    rot, walks = _grow("triangle", t, seed, _eulerian_face)
+    trace = BuildTrace(tuple(TraceStep("triangle", w) for w in walks))
     return PlaneGraph(rot, outer_dart=(0, 1)), trace
 
 
@@ -281,11 +275,10 @@ def replay(trace: BuildTrace) -> PlaneGraph:
     """Rebuild the plane graph a BuildTrace describes."""
     rot = [list(r) for r in _TRIANGLE_ROT]
     for i, s in enumerate(trace.steps):
-        if list(s.new) != list(range(len(rot), len(rot) + len(s.new))):
-            raise ValueError(f"step {s} must add the next unused ids from {len(rot)}")
         if not _inner_face(rot, s.face):
             raise ValueError(f"step {i} face {list(s.face)} is not an inner face so far")
-        _STEPS[s.kind][0](rot, s.face, *s.new)
+        insert, count = _STEPS[s.kind]
+        insert(rot, s.face, *range(len(rot), len(rot) + count))
     return PlaneGraph(rot, outer_dart=(0, 1))
 
 
@@ -351,23 +344,19 @@ def k4_chain(k: int) -> tuple[PlaneGraph, frozenset[int]]:
     (one per copy; together they dominate everything)."""
     if k < 2:
         raise ValueError(f"k4 chain needs k >= 2, got {k}")
-    rot = [list(r) for r in _TRIANGLE_ROT]
-    _stack(rot, (0, 2, 1), 3)
-    protected = [0]  # vertex 0 keeps N[0] = {0,1,2,3}
-    attach = (1, 3, 2)  # face avoiding vertex 0, walk order (p, q, r)
-    nxt = 4
-    for _ in range(k - 1):
-        p, q, r = attach
-        a, b, c, u = nxt, nxt + 1, nxt + 2, nxt + 3
-        nxt += 4
-        _stack(rot, (p, q, r), a)  # faces (p,q,a), (p,a,r), (r,a,q)
-        _stack(rot, (p, q, a), b)  # faces (p,q,b), (p,b,a), (a,b,q)
-        _stack(rot, (a, b, q), c)  # faces (a,b,c), (a,c,q), (q,c,b)
-        _stack(rot, (a, b, c), u)  # the new K4 {a,b,c,u}
-        protected.append(u)
-        attach = (a, c, q)
-    g = PlaneGraph(rot, outer_dart=(0, 1))
-    return g, frozenset(protected)
+    faces = [_TRIANGLE_INNER]  # vertex 3 goes in; vertex 0 keeps N[0] = {0,1,2,3}
+    p, q, r = 1, 3, 2  # face avoiding vertex 0, in walk order
+    for a in range(4, 4 * k, 4):  # stacks a, b, c and u = a + 3
+        b, c = a + 1, a + 2
+        faces += [
+            (p, q, r),  # faces (p,q,a), (p,a,r), (r,a,q)
+            (p, q, a),  # faces (p,q,b), (p,b,a), (a,b,q)
+            (a, b, q),  # faces (a,b,c), (a,c,q), (q,c,b)
+            (a, b, c),  # the new K4 {a,b,c,u}
+        ]
+        p, q, r = a, c, q
+    g = replay(BuildTrace(tuple(TraceStep("stack", f) for f in faces)))
+    return g, frozenset([0, *range(7, 4 * k, 4)])  # 0 and each u
 
 
 # -- randomized families ------------------------------------------------------

@@ -186,10 +186,14 @@ class SweepConfig:
 
 
 def _int(text: str) -> int:
-    """int(text), with an error that names the text, not Python's literal."""
+    """int(text), with an error that names the text, not Python's literal;
+    a well-formed integer too long for int() is named by its digit count."""
     try:
         return int(text)
     except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+            head, digits = text.strip()[:10] + "…", sum(map(str.isdigit, text))
+            raise ValueError(f"{head!r} has {digits} digits, too many to read") from None
         raise ValueError(f"{text!r} is not an integer") from None
 
 
@@ -280,7 +284,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     gamma_max = take("gamma_max_n", str(GAMMA_LIMIT.max_vertices), _parse_count)
     timings_raw = (take("timings", "off") or "off").lower()
     if timings_raw not in ("on", "off", "yes", "no", "true", "false"):
-        raise ValueError(f"timings must be on/off, got {timings_raw!r}")
+        raise ValueError(f"timings must be on/off/yes/no/true/false, got {timings_raw!r}")
     out = take("out", None)
     for key, value in values.items():
         family, _, name = key.partition(".")
@@ -393,13 +397,8 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
     odd = sum(1 for d in g.degrees() if d % 2)
     ctx.rec("degrees_all_even", odd, 0, "<=", "invariant")
     if n >= 9:
-        ctx.rec(
-            "deg4_disjoint_triangles",
-            _deg4_triangle_violations(g, v4),
-            0,
-            "<=",
-            "invariant",
-        )
+        bad = _deg4_triangle_violations(g, v4)
+        ctx.rec("deg4_disjoint_triangles", bad, 0, "<=", "invariant")
         ctx.rec("deg4_seven_bound", 7 * len(v4), 6 * n - 12, "<=")
     six = rec_eulerian_six_coloring(g, trace)
     ctx.rec("six_coloring_proper", 0 if is_proper(g, six) else 1, 0, "<=", "invariant")
@@ -407,12 +406,8 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
     # below are read unchecked.
     dynamic = is_r_dynamic(g, six, 5)
     ctx.rec("six_coloring_5dynamic", 0 if dynamic else 1, 0, "<=", "invariant")
-    bad_pairs = 0
     miss = {v: _missing(g, six, v) for v in v4}
-    for u in v4:
-        for w in g.neighbors(u):
-            if w in miss and u < w and miss[u] == miss[w]:
-                bad_pairs += 1
+    bad_pairs = sum(u < w and miss[u] == miss.get(w) for u in v4 for w in g.neighbors(u))
     ctx.rec("six_coloring_distinct_missing", bad_pairs, 0, "<=", "invariant")
     shape_bad = sum(
         1
@@ -435,13 +430,10 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
 
 
 def _deg4_triangle_violations(g: PlaneGraph, v4) -> int:
+    """The degree-4 vertices whose degree-4 neighbours are not two adjacent ones."""
     v4set = set(v4)
-    bad = 0
-    for v in v4:
-        inside = [u for u in g.neighbors(v) if u in v4set]
-        if len(inside) != 2 or not g.has_edge(inside[0], inside[1]):
-            bad += 1
-    return bad
+    inside = [[u for u in g.neighbors(v) if u in v4set] for v in v4]
+    return sum(len(i) != 2 or not g.has_edge(*i) for i in inside)
 
 
 def _three_tree_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from types import SimpleNamespace
 
@@ -46,6 +47,24 @@ def test_gen_seed_env_override(tmp_path, monkeypatch, capsys):
     code, _, err = run(capsys, "gen", "random", "--n", "12", "-o", str(p))
     assert code == 2
     assert "DOMTRI_SEED must be an integer" in err
+
+
+def test_gen_seed_env_over_long_integer(tmp_path, monkeypatch, capsys):
+    # int() refuses a string of more than sys.get_int_max_str_digits()
+    # digits (4,300 by default); the message then names the digit count
+    # rather than echoing the whole string.
+    seed = "1" * 5000
+    monkeypatch.setenv("DOMTRI_SEED", seed)
+    p = tmp_path / "g.pgr"
+    code, _, err = run(capsys, "gen", "random", "--n", "8", "-o", str(p))
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(seed):
+        # a Python without the digit limit (before 3.10.7) reads it
+        assert code == 0 and load_pgr(p) == random_triangulation(8, int(seed))
+        return
+    assert code == 2
+    assert err == (
+        "DOMTRI_SEED must be an integer: '1111111111…' has 5000 digits, too many to read\n"
+    )
 
 
 def test_gen_seed_only_for_seeded_families(monkeypatch, capsys):
@@ -226,10 +245,10 @@ def _full_report_line(**fields) -> str:
 
 
 def _face_trace(face, **fields) -> str:
-    """A one-step triangle trace into `face`, adding vertices 3, 4 and 5,
-    with the step's `fields` replaced."""
-    step = {"kind": "triangle", "face": face, "new": [3, 4, 5]} | fields
-    return json.dumps({"family": "recursive_eulerian", "steps": [step]})
+    """A one-step triangle trace into `face`, with the step's `fields`
+    replaced."""
+    step = {"kind": "triangle", "face": face} | fields
+    return json.dumps({"steps": [step]})
 
 
 @pytest.mark.parametrize(
@@ -269,7 +288,6 @@ def _face_trace(face, **fields) -> str:
             _face_trace([0, 2, 1], kind=["triangle"]),
             "step 0 kind ['triangle'] is not str",
         ),
-        ("color", _face_trace([0, 2, 1], new=5), "step 0 new 5 is not list"),
         ("color", '{"family": "x", "steps": [[1]]}', "step 0 [1] is not dict"),
         ("color", "[1, 2]", "trace [1, 2] is not dict"),
         ("audit", "not json\n", "Expecting value"),
@@ -317,7 +335,6 @@ def _face_trace(face, **fields) -> str:
         "trace-number-steps",
         "trace-number-face",
         "trace-list-kind",
-        "trace-number-new",
         "trace-list-step",
         "trace-list-document",
         "report-not-json",
@@ -439,7 +456,8 @@ def test_color_six_needs_trace(tmp_path, capsys):
 
 
 def test_color_trace_with_far_ids_fails_fast(tmp_path, capsys):
-    # new ids must be the next unused ones; these once grew a 200,003-vertex map
+    # A legacy trace's `new` ids once grew a 200,003-vertex map from these
+    # far ids; replay now assigns the next unused ids and ignores the key.
     g = tmp_path / "g.pgr"
     main(["gen", "eulerian", "--t", "1", "--seed", "0", "-o", str(g)])
     t = tmp_path / "trace.json"
@@ -451,8 +469,19 @@ def test_color_trace_with_far_ids_fails_fast(tmp_path, capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "color", str(g), "--k", "6", "--trace", str(t))
     assert time.perf_counter() - t0 < 0.1
-    assert (code, out) == (2, "")
-    assert "next unused ids from 3" in err
+    assert (code, err) == (0, "")
+    assert out.startswith("# coloring k=6\n") and len(out.splitlines()) == 7
+
+
+def test_gen_trace_is_a_step_list(tmp_path, capsys):
+    t = tmp_path / "e.json"
+    main(["gen", "eulerian", "--t", "3", "--seed", "2", "-o", str(tmp_path / "e.pgr"),
+          "--trace", str(t)])
+    capsys.readouterr()
+    doc = json.loads(t.read_text())
+    assert list(doc) == ["steps"]
+    assert len(doc["steps"]) == 3
+    assert all(sorted(step) == ["face", "kind"] for step in doc["steps"])
 
 
 def test_color_and_dominate_large_chain(tmp_path, capsys):

@@ -19,6 +19,7 @@ from domtri.coloring import (
 )
 from domtri.domination import is_dominating
 from domtri.generators import (
+    BuildTrace,
     diamond_chain,
     icosahedron,
     k4,
@@ -28,7 +29,9 @@ from domtri.generators import (
     planar_three_tree,
     random_triangulation,
     recursive_eulerian,
+    replay,
 )
+from domtri.plane_graph import to_pgr
 
 RAINBOW_K4 = Coloring(4, (0, 1, 2, 3))
 # octahedron antipodal pairs under our labeling: 0-3, 1-4, 2-5
@@ -332,3 +335,27 @@ def test_six_coloring_rejects_mismatched_trace():
     _, stack_trace = planar_three_tree(12, 0)
     with pytest.raises(ValueError, match="octahedron-pattern"):
         rec_eulerian_six_coloring(g, stack_trace)
+
+
+# recursive_eulerian(3, 2)'s trace as written when a trace also named its
+# family and listed each step's new ids; readers ignore both keys now.
+LEGACY_TRACE = (
+    '{"family": "recursive_eulerian", "steps": ['
+    '{"face": [0, 2, 1], "kind": "triangle", "new": [3, 4, 5]}, '
+    '{"face": [0, 2, 5], "kind": "triangle", "new": [6, 7, 8]}, '
+    '{"face": [1, 4, 3], "kind": "triangle", "new": [9, 10, 11]}]}'
+)
+
+
+def test_legacy_trace_replays_and_six_colors_the_same():
+    trace = BuildTrace.from_json(LEGACY_TRACE)
+    g, fresh = recursive_eulerian(3, 2)
+    assert trace == fresh
+    assert replay(trace) == g
+    assert to_pgr(g) == (
+        "pgr 1 12 0 1 2\n0: 1 4 5 7 8 2\n1: 0 2 3 10 11 4\n2: 0 8 6 5 3 1\n"
+        "3: 1 2 5 4 9 10\n4: 0 1 11 9 3 5\n5: 0 4 3 2 6 7\n6: 2 8 7 5\n"
+        "7: 0 5 6 8\n8: 0 7 6 2\n9: 3 4 11 10\n10: 1 3 9 11\n11: 1 10 9 4\n"
+    )
+    colors = (5, 0, 4, 2, 1, 3, 1, 0, 2, 4, 5, 3)
+    assert rec_eulerian_six_coloring(g, trace).colors == colors

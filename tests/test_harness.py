@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,6 +182,35 @@ def test_parse_config_names_a_non_integer(line, error):
         parse_sweep_config("families = random, all_odd\n" + line + "\n")
     assert str(exc.value) == error
     assert "invalid literal" not in str(exc.value)
+
+
+def test_parse_config_names_an_over_long_integer():
+    # int() refuses more than sys.get_int_max_str_digits() digits (4,300 by
+    # default); the message names the digit count, not the whole text.
+    ones = "1" * 5000
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(ones):
+        # a Python without the digit limit (before 3.10.7) reads it
+        assert parse_sweep_config(f"seed = {ones}\nfamilies = k4\n").seed == int(ones)
+        return
+    cases = [
+        (f"seed = {ones}", "seed: '1111111111…' has 5000 digits, too many to read"),
+        (
+            f"random.n = 4..-{ones[1:]}_1",
+            "random.n: '-111111111…' has 5000 digits, too many to read",
+        ),
+    ]
+    for line, error in cases:
+        with pytest.raises(ValueError) as exc:
+            parse_sweep_config("families = random\n" + line + "\n")
+        assert str(exc.value) == error
+
+
+def test_timings_names_every_spelling():
+    with pytest.raises(ValueError) as exc:
+        parse_sweep_config("families = k4\ntimings = maybe\n")
+    assert str(exc.value) == "timings must be on/off/yes/no/true/false, got 'maybe'"
+    for word, on in (("on", 1), ("OFF", 0), ("yes", 1), ("no", 0), ("True", 1), ("false", 0)):
+        assert parse_sweep_config(f"families = k4\ntimings = {word}\n").timings is bool(on)
 
 
 @pytest.mark.parametrize(
