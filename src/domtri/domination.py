@@ -9,8 +9,9 @@ always independent dominating.  The exact oracles for iota and gamma are
 one desk-scale branch and bound (`_search`) that refuses oversized
 inputs.  It branches on the undominated vertex with the fewest available
 dominators, tries them most-newly-dominating first, and prunes with a
-packing bound taken in ascending order of those counts.  For iota it
-also bars the neighbours of chosen vertices.
+packing bound taken in ascending order of those counts.  It skips a
+dominator that an earlier one can replace in any optimal completion.
+For iota it also bars the neighbours of chosen vertices.
 """
 
 from __future__ import annotations
@@ -149,19 +150,25 @@ def _masks(g: PlaneGraph):
     return nbr, closed
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationResult:
     """The branch and bound behind both oracles (see `exact_gamma`).  Each
     later branch bars the dominators tried before it, and with
     `independent` each chosen vertex bars its neighbours.  The packing
     bound is sound because pairwise-disjoint dominator sets each need
-    their own chosen vertex."""
+    their own chosen vertex.
+
+    Swap rule: with fresh(w) the undominated part of N[w], a candidate w_j
+    is skipped when an earlier candidate w_i has fresh(w_j) <= fresh(w_i)
+    and, for iota, every available neighbour of w_i lies in N[w_j].
+    Candidates come in descending order of |fresh|, so a strict superset
+    is always earlier, and of equal fresh sets the first is kept.  If an
+    optimal completion T (available vertices only) uses w_j, then
+    T - w_j + w_i still dominates and is no larger.  For iota it stays
+    independent: a member of T adjacent to w_i is available, so it lies in
+    N[w_j], which the independent T forbids.  Each swap moves to an earlier
+    candidate, so repeated swaps reach an optimum holding a kept one.  A kept
+    branch covers the completions whose first kept candidate it is, so a
+    skipped candidate is not barred."""
     what = "iota" if independent else "gamma"
     n = g.n
     if n > limit.max_vertices:
@@ -184,15 +191,16 @@ def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationR
             dom |= closed[w]
     best = best_mask.bit_count()
     nodes = 0
+    max_nodes, max_depth = limit.max_nodes, _MAX_DEPTH
 
     def rec(s_mask, barred, d_mask, size):
         nonlocal best, best_mask, nodes
         nodes += 1
-        if nodes > limit.max_nodes:
-            raise OracleLimitExceeded(f"{what} oracle exceeded {limit.max_nodes} nodes")
-        if size > _MAX_DEPTH:
+        if nodes > max_nodes:
+            raise OracleLimitExceeded(f"{what} oracle exceeded {max_nodes} nodes")
+        if size > max_depth:
             raise OracleLimitExceeded(
-                f"{what} oracle search exceeded {_MAX_DEPTH} chosen vertices"
+                f"{what} oracle search exceeded {max_depth} chosen vertices"
             )
         if d_mask == full:
             if size < best:
@@ -200,31 +208,48 @@ def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationR
             return
         avail = ~barred
         options = []
-        for u in _bits(full & ~d_mask):
+        rest = full & ~d_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
             cov = closed[u] & avail
             if cov == 0:
                 return
             options.append((cov.bit_count(), u, cov))
         options.sort()
-        packed = 0
-        lower = 0
+        room = best - size
+        packed = lower = 0
         for _, _, cov in options:
             if cov & packed == 0:
                 lower += 1
+                if lower >= room:
+                    return
                 packed |= cov
-        if size + lower >= best:
-            return
         fresh = ~d_mask
-        order = sorted(
-            _bits(options[0][2]), key=lambda w: (-(closed[w] & fresh).bit_count(), w)
-        )
-        for w in order:
-            rec(s_mask | (1 << w), barred | bars[w], d_mask | closed[w], size + 1)
-            barred |= 1 << w
+        order = []
+        rest = options[0][2]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            fw = closed[w] & fresh
+            order.append((-fw.bit_count(), w, fw))
+        order.sort()
+        tried = []  # (fresh, available vertices it bars) of each earlier candidate
+        for _, w, fw in order:
+            outside = ~closed[w]
+            if not any(not fw & ~fi and not ai & outside for fi, ai in tried):
+                rec(s_mask | (1 << w), barred | bars[w], d_mask | closed[w], size + 1)
+                barred |= 1 << w
+            tried.append((fw, bars[w] & avail))
 
     rec(0, 0, 0, 0)
     return DominationResult(
-        vertices=frozenset(_bits(best_mask)), size=best, method=f"exact_{what}", nodes=nodes
+        vertices=frozenset(v for v in range(n) if best_mask >> v & 1),
+        size=best,
+        method=f"exact_{what}",
+        nodes=nodes,
     )
 
 
@@ -234,7 +259,10 @@ def exact_iota(g: PlaneGraph, limit: OracleLimit = IOTA_LIMIT) -> DominationResu
     branches on the dominators of the undominated vertex with the fewest
     available ones, most newly dominating first, bounds by packing the
     undominated vertices' dominator sets in ascending order of size, and
-    bars each chosen vertex's neighbours."""
+    bars each chosen vertex's neighbours.  It skips a dominator whose
+    newly dominated vertices an earlier one also dominates, when every
+    available neighbour of that earlier one lies in the skipped one's
+    closed neighbourhood (the swap rule of `_search`)."""
     return _search(g, limit, independent=True)
 
 
@@ -242,7 +270,9 @@ def exact_gamma(g: PlaneGraph, limit: OracleLimit = GAMMA_LIMIT) -> DominationRe
     """Minimum dominating set, from a greedy cover.  `_search` branches on
     the dominators of the undominated vertex with the fewest available
     ones, most newly dominating first, and bounds by packing the
-    undominated vertices' dominator sets in ascending order of size."""
+    undominated vertices' dominator sets in ascending order of size.  It
+    skips a dominator whose newly dominated vertices an earlier one also
+    dominates (the swap rule of `_search`)."""
     return _search(g, limit, independent=False)
 
 

@@ -187,13 +187,18 @@ class SweepConfig:
 
 def _int(text: str) -> int:
     """int(text), with an error that names the text, not Python's literal;
-    a well-formed integer too long for int() is named by its digit count."""
+    a well-formed integer too long for int() is named by its first ten
+    characters and digit count, other text over 40 characters by its first
+    40 and its length."""
     try:
         return int(text)
     except ValueError:
         if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
             head, digits = text.strip()[:10] + "…", sum(map(str.isdigit, text))
             raise ValueError(f"{head!r} has {digits} digits, too many to read") from None
+        if len(text) > 40:
+            head = text[:40] + "…"
+            raise ValueError(f"{head!r} ({len(text)} characters) is not an integer") from None
         raise ValueError(f"{text!r} is not an integer") from None
 
 

@@ -67,6 +67,18 @@ def test_gen_seed_env_over_long_integer(tmp_path, monkeypatch, capsys):
     )
 
 
+def test_gen_seed_env_caps_a_long_non_integer(monkeypatch, capsys):
+    monkeypatch.setenv("DOMTRI_SEED", "1" * 5000 + "x")
+    code, out, err = run(capsys, "gen", "random", "--n", "8")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"DOMTRI_SEED must be an integer: '{'1' * 40}…' (5001 characters) is not an integer\n"
+    )
+    monkeypatch.setenv("DOMTRI_SEED", "abc")
+    code, _, err = run(capsys, "gen", "random", "--n", "8")
+    assert (code, err) == (2, "DOMTRI_SEED must be an integer: 'abc' is not an integer\n")
+
+
 def test_gen_seed_only_for_seeded_families(monkeypatch, capsys):
     seedless = [f for f in FAMILIES if not FAMILIES[f].reads_seed]
     assert seedless == ["k4", "octahedron", "icosahedron", "diamond", "k4_chain"]

@@ -205,6 +205,21 @@ def test_parse_config_names_an_over_long_integer():
         assert str(exc.value) == error
 
 
+def test_parse_config_caps_a_long_non_integer():
+    # a malformed value is echoed up to 40 characters, then named by its
+    # length; short ones keep their whole text
+    head = "1" * 40
+    cases = [
+        (f"seed = {'1' * 5000}x", f"seed: '{head}…' (5001 characters) is not an integer"),
+        (f"random.n = 4..{'1' * 40}x", f"random.n: '{head}…' (41 characters) is not an integer"),
+        (f"seed = {'1' * 39}x", f"seed: '{'1' * 39}x' is not an integer"),
+    ]
+    for line, error in cases:
+        with pytest.raises(ValueError) as exc:
+            parse_sweep_config("families = random\n" + line + "\n")
+        assert str(exc.value) == error
+
+
 def test_timings_names_every_spelling():
     with pytest.raises(ValueError) as exc:
         parse_sweep_config("families = k4\ntimings = maybe\n")
