@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .coloring import (
     Coloring,
@@ -27,8 +28,6 @@ from .coloring import (
     rec_eulerian_six_coloring,
 )
 from .domination import (
-    GAMMA_LIMIT,
-    IOTA_LIMIT,
     OracleLimit,
     OracleLimitExceeded,
     class_combinator,
@@ -50,6 +49,7 @@ from .plane_graph import (
     NEAR_OR_PLANAR,
     EmbeddingError,
     InvariantBreach,
+    _echo,
     classify,
     load_pgr,
     neighborhood_structure,
@@ -72,11 +72,11 @@ def _env_seed(default: int) -> int:
 
 @contextlib.contextmanager
 def _input_file(path: str):
-    """A file that does not parse, or does not fit the graph it comes
-    with, is a usage error."""
+    """A file that does not parse (nesting too deep included), or does not
+    fit the graph it comes with, is a usage error."""
     try:
         yield
-    except (ArithmeticError, KeyError, IndexError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, IndexError, RecursionError, TypeError, ValueError) as exc:
         what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise UsageError(f"{path}: {what}") from None
 
@@ -127,18 +127,19 @@ def _cmd_gen(args) -> int:
 # -- color ---------------------------------------------------------------------
 
 
-def _parse_checks(raw: str) -> list[tuple[str, int | None]]:
+def _parse_checks(raw: str) -> list[tuple[str, Callable[..., bool]]]:
     out = []
     for part in raw.split(","):
         part = part.strip()
         if not part:
             continue
         if part in ("proper", "acyclic"):
-            out.append((part, None))
-        elif part.startswith("dynamic:") and part[8:].isdigit():
-            out.append(("dynamic", int(part[8:])))
+            out.append((part, is_proper if part == "proper" else is_acyclic))
+        elif part.startswith("dynamic:") and part[8:].isdecimal():
+            r = int(part[8:])
+            out.append((f"dynamic:{r}", lambda g, c, r=r: is_r_dynamic(g, c, r)))
         else:
-            raise UsageError(f"unknown check {part!r} (proper, dynamic:r, acyclic)")
+            raise UsageError(f"unknown check {_echo(part)} (proper, dynamic:r, acyclic)")
     return out
 
 
@@ -156,18 +157,11 @@ def _cmd_color(args) -> int:
             trace = BuildTrace.from_json(Path(args.trace).read_text())
             c = rec_eulerian_six_coloring(g, trace)
 
-    failed = []
-    for kind, r in checks:
-        if kind == "proper":
-            ok = is_proper(g, c)
-        elif kind == "acyclic":
-            ok = is_acyclic(g, c)
-        else:
-            ok = is_r_dynamic(g, c, r)
-        label = kind if r is None else f"{kind}:{r}"
+    failed = 0
+    for label, check in checks:
+        ok = check(g, c)
         print(f"# check {label}: {'ok' if ok else 'FAIL'}", file=sys.stderr)
-        if not ok:
-            failed.append(label)
+        failed += not ok
 
     _write_out(c.to_text(), args.output)
     return 1 if failed else 0
@@ -207,12 +201,9 @@ def _cmd_dominate(args) -> int:
                 res = class_combinator(g, c)
         else:
             res = class_combinator(g, four_coloring(g))
-    elif args.method == "iota":
-        lim = IOTA_LIMIT if limit_n is None else OracleLimit(limit_n)
-        res = exact_iota(g, lim)
     else:
-        lim = GAMMA_LIMIT if limit_n is None else OracleLimit(limit_n)
-        res = exact_gamma(g, lim)
+        oracle = exact_iota if args.method == "iota" else exact_gamma
+        res = oracle(g) if limit_n is None else oracle(g, OracleLimit(limit_n))
 
     if args.json:
         print(json.dumps(_result_doc(res, g.n), sort_keys=True))

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .generators import BuildTrace, replay
-from .plane_graph import InvariantBreach, PlaneGraph, _count_components
+from .plane_graph import InvariantBreach, PlaneGraph, _count_components, _echo
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,10 @@ class Coloring:
                 v, c = map(int, line.split())
             except ValueError:
                 form = "# coloring k=K" if header else "vertex class"
-                raise ValueError(f"line {lineno}: {line!r} is not of the form `{form}`") from None
+                shown = f"line {lineno}: {_echo(line)}"
+                raise ValueError(f"{shown} is not of the form `{form}`") from None
             if v in pairs:
-                raise ValueError(f"vertex {v} colored twice")
+                raise ValueError(f"vertex {_echo(v)} colored twice")
             pairs[v] = c
         if sorted(pairs) != list(range(len(pairs))):
             raise ValueError("coloring must cover vertices 0..n-1")
@@ -73,9 +74,9 @@ class Coloring:
         top = max(colors, default=-1)
         # n vertices fill at most n classes; a larger index only inflates k
         if top >= len(colors):
-            raise ValueError(f"class index {top} is not below the vertex count")
+            raise ValueError(f"class index {_echo(top)} is not below the vertex count")
         if k is not None and not top < k <= max(len(colors), 6):  # `color` writes k <= 6
-            raise ValueError(f"header k={k} is outside {top + 1}..{max(len(colors), 6)}")
+            raise ValueError(f"header k={_echo(k)} is outside {top + 1}..{max(len(colors), 6)}")
         return Coloring(top + 1 if k is None else k, colors)
 
 

@@ -6,12 +6,13 @@ The combinator turns any proper coloring into an independent dominating
 set: for each class C_i, the vertices U_i it fails to dominate get a
 maximal independent set S_i of their induced subgraph, and C_i u S_i is
 always independent dominating.  The exact oracles for iota and gamma are
-one desk-scale branch and bound (`_search`) that refuses oversized
-inputs.  It branches on the undominated vertex with the fewest available
-dominators, tries them most-newly-dominating first, and prunes with a
-packing bound taken in ascending order of those counts.  It skips a
-dominator that an earlier one can replace in any optimal completion.
-For iota it also bars the neighbours of chosen vertices.
+one desk-scale branch and bound (`_search`) that refuses oversized inputs
+and starts from a greedy maximal independent set.  It branches on the
+undominated vertex with the fewest available dominators, tries them
+most-newly-dominating first, and prunes with a packing bound taken in
+ascending order of those counts.  It skips a dominator that an earlier one
+can replace in any optimal completion.  For iota it also bars the
+neighbours of chosen vertices.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .plane_graph import (
     Category,
     InvariantBreach,
     PlaneGraph,
+    _echo,
     check_faces_inequality,
     classify,
     closed_neighborhood,
@@ -179,16 +181,7 @@ def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationR
     full = (1 << n) - 1
     bars = nbr if independent else [0] * n  # what choosing w makes unavailable
 
-    if independent:
-        best_mask = sum(1 << v for v in greedy_independent(g, g.vertices()))
-    else:
-        # greedy cover: repeatedly take the vertex covering the most
-        # still-undominated vertices (ties to the lower id)
-        best_mask = dom = 0
-        while dom != full:
-            w = max(range(n), key=lambda v: ((closed[v] & ~dom).bit_count(), -v))
-            best_mask |= 1 << w
-            dom |= closed[w]
+    best_mask = sum(1 << v for v in greedy_independent(g, g.vertices()))
     best = best_mask.bit_count()
     nodes = 0
     max_nodes, max_depth = limit.max_nodes, _MAX_DEPTH
@@ -267,12 +260,12 @@ def exact_iota(g: PlaneGraph, limit: OracleLimit = IOTA_LIMIT) -> DominationResu
 
 
 def exact_gamma(g: PlaneGraph, limit: OracleLimit = GAMMA_LIMIT) -> DominationResult:
-    """Minimum dominating set, from a greedy cover.  `_search` branches on
-    the dominators of the undominated vertex with the fewest available
-    ones, most newly dominating first, and bounds by packing the
-    undominated vertices' dominator sets in ascending order of size.  It
-    skips a dominator whose newly dominated vertices an earlier one also
-    dominates (the swap rule of `_search`)."""
+    """Minimum dominating set, from a greedy maximal independent set, which
+    dominates.  `_search` branches on the dominators of the undominated
+    vertex with the fewest available ones, most newly dominating first,
+    and bounds by packing the undominated vertices' dominator sets in
+    ascending order of size.  It skips a dominator whose newly dominated
+    vertices an earlier one also dominates (the swap rule of `_search`)."""
     return _search(g, limit, independent=False)
 
 
@@ -292,9 +285,9 @@ class BoundRecord:
 
     def __post_init__(self):
         if self.op not in ("<=", "<", "=="):
-            raise ValueError(f"unknown comparison {self.op!r}")
+            raise ValueError(f"unknown comparison {_echo(self.op)}")
         if self.level not in ("bound", "invariant", "conjecture", "finding"):
-            raise ValueError(f"unknown level {self.level!r}")
+            raise ValueError(f"unknown level {_echo(self.level)}")
         if type(self.lhs) is not Fraction:  # Fraction(Fraction) is slow
             object.__setattr__(self, "lhs", Fraction(self.lhs))
         if type(self.rhs) is not Fraction:

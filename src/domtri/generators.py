@@ -18,6 +18,7 @@ from .plane_graph import (
     PlaneGraph,
     _after,
     _canonical,
+    _echo,
     _insert_span,
     deleted_vertex_region_dart,
     flip_edge,
@@ -44,7 +45,7 @@ def split_seed(seed: int, *indices: int) -> int:
 def _typed(name: str, value, *types):
     """value, if its type is one of types exactly: a JSON true is not an int."""
     if type(value) not in types:
-        raise ValueError(f"{name} {value!r} is not {'/'.join(t.__name__ for t in types)}")
+        raise ValueError(f"{name} {_echo(value)} is not {'/'.join(t.__name__ for t in types)}")
     return value
 
 
@@ -55,7 +56,7 @@ class TraceStep:
 
     def __post_init__(self):
         if self.kind not in _STEPS:
-            raise ValueError(f"unknown step kind {self.kind!r}")
+            raise ValueError(f"unknown step kind {_echo(self.kind)}")
 
 
 @dataclass(frozen=True)
@@ -144,18 +145,11 @@ def k4() -> PlaneGraph:
 
 def octahedron() -> PlaneGraph:
     """Octahedron: outer triangle (0, 1, 2), inner triangle (3, 4, 5),
-    antipodal (non-adjacent) pairs (0,3), (1,4), (2,5)."""
-    return PlaneGraph(
-        [
-            (1, 5, 4, 2),
-            (2, 3, 5, 0),
-            (0, 4, 3, 1),
-            (2, 4, 5, 1),
-            (3, 2, 0, 5),
-            (3, 4, 0, 1),
-        ],
-        outer_dart=(0, 1),
-    )
+    antipodal (non-adjacent) pairs (0,3), (1,4), (2,5): one triangle step."""
+    rot = [list(r) for r in _TRIANGLE_ROT]
+    _triangle_insert(rot, _TRIANGLE_INNER, 3, 4, 5)  # 3, 4, 5 face 0, 2, 1
+    swap = (0, 1, 2, 3, 5, 4)
+    return PlaneGraph([[swap[w] for w in rot[v]] for v in swap], outer_dart=(0, 1))
 
 
 def icosahedron() -> PlaneGraph:

@@ -65,6 +65,7 @@ from .plane_graph import (
     GraphClass,
     InvariantBreach,
     PlaneGraph,
+    _echo,
     classify,
     neighborhood_structure,
 )
@@ -77,7 +78,7 @@ def _parse_frac(text) -> Fraction:
     1e4000000, slowly."""
     m = isinstance(text, str) and re.fullmatch(r"(-?[0-9]+)(?:/([1-9][0-9]*))?", text)
     if not m or str(x := Fraction(int(m[1]), int(m[2] or 1))) != text:
-        raise ValueError(f"number {text!r} is not of the form p or p/q")
+        raise ValueError(f"number {_echo(text)} is not of the form p or p/q")
     return x
 
 
@@ -188,18 +189,14 @@ class SweepConfig:
 def _int(text: str) -> int:
     """int(text), with an error that names the text, not Python's literal;
     a well-formed integer too long for int() is named by its first ten
-    characters and digit count, other text over 40 characters by its first
-    40 and its length."""
+    characters and digit count, other text as `_echo` shows it."""
     try:
         return int(text)
     except ValueError:
         if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
             head, digits = text.strip()[:10] + "…", sum(map(str.isdigit, text))
             raise ValueError(f"{head!r} has {digits} digits, too many to read") from None
-        if len(text) > 40:
-            head = text[:40] + "…"
-            raise ValueError(f"{head!r} ({len(text)} characters) is not an integer") from None
-        raise ValueError(f"{text!r} is not an integer") from None
+        raise ValueError(f"{_echo(text)} is not an integer") from None
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
@@ -209,16 +206,16 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
         part = part.strip()
         if ".." in part:
             if part.count("..") != 1:
-                raise ValueError(f"range {part!r} is not of the form lo..hi")
+                raise ValueError(f"range {_echo(part)} is not of the form lo..hi")
             lo, hi = part.split("..")
             span = range(_int(lo), _int(hi) + 1)
             if not span:
-                raise ValueError(f"no integers in range {part!r}")
+                raise ValueError(f"no integers in range {_echo(part)}")
             out.extend(span)
         elif part:
             out.append(_int(part))
     if not out:
-        raise ValueError(f"no integers in {raw!r}")
+        raise ValueError(f"no integers in {_echo(raw)}")
     return tuple(out)
 
 
@@ -226,7 +223,7 @@ def _once(what: str, items: tuple) -> tuple:
     """items, unless some are listed twice: their reports would share graph ids."""
     repeated = sorted(v for v, k in Counter(items).items() if k > 1)
     if repeated:
-        raise ValueError(f"{what} listed twice: {repeated}")
+        raise ValueError(f"{what} listed twice: {_echo(repeated)}")
     return items
 
 
@@ -239,7 +236,7 @@ def _parse_count(raw: str) -> int:
     """A count: an integer >= 0."""
     value = _int(raw)
     if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
+        raise ValueError(f"must be >= 0, got {_echo(value)}")
     return value
 
 
@@ -256,7 +253,7 @@ def _parse_pairs(raw: str) -> tuple[tuple[int, int], ...]:
     out = []
     for part in filter(None, (p.strip() for p in raw.split(","))):
         if part.count(":") != 1:
-            raise ValueError(f"pair {part!r} is not of the form n:seed")
+            raise ValueError(f"pair {_echo(part)} is not of the form n:seed")
         a, b = part.split(":")
         out.append((_int(a), _int(b)))
     return _once("pairs", tuple(out))
@@ -272,7 +269,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ValueError(f"config line {lineno}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
         if key in values:
-            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"config line {lineno}: duplicate key {_echo(key)}")
         values[key] = value
 
     def take(key: str, default: str | None, parse=None):
@@ -283,19 +280,19 @@ def parse_sweep_config(text: str) -> SweepConfig:
     fams = tuple(f.strip() for f in take("families", "").split(",") if f.strip())
     unknown = [f for f in fams if f not in FAMILIES]
     if unknown:
-        raise ValueError(f"unknown families: {unknown}")
+        raise ValueError(f"unknown families: {_echo(unknown)}")
     _once("families", fams)
     iota_max = take("iota_max_n", str(IOTA_LIMIT.max_vertices), _parse_count)
     gamma_max = take("gamma_max_n", str(GAMMA_LIMIT.max_vertices), _parse_count)
     timings_raw = (take("timings", "off") or "off").lower()
     if timings_raw not in ("on", "off", "yes", "no", "true", "false"):
-        raise ValueError(f"timings must be on/off/yes/no/true/false, got {timings_raw!r}")
+        raise ValueError(f"timings must be on/off/yes/no/true/false, got {_echo(timings_raw)}")
     out = take("out", None)
     for key, value in values.items():
         family, _, name = key.partition(".")
         parse = FAMILIES[family].keys().get(name) if family in FAMILIES else None
         if parse is None:
-            raise ValueError(f"unknown key {key!r}")
+            raise ValueError(f"unknown key {_echo(key)}")
         _parse_key(key, parse, value)
     return SweepConfig(
         seed=seed,

@@ -27,6 +27,12 @@ class EmbeddingError(ValueError):
     """Raised when input data does not describe a valid plane embedding."""
 
 
+def _echo(value) -> str:
+    """repr(value) for an error message, or past 40 characters its first 40 and length."""
+    text = value if isinstance(value, str) else repr(value)
+    return repr(value) if len(text) <= 40 else f"{text[:40] + '…'!r} ({len(text)} characters)"
+
+
 class InvariantBreach(RuntimeError):
     """A structural property that should be a theorem failed on an instance.
 
@@ -130,7 +136,7 @@ class PlaneGraph:
         for v, (rot, nbrs) in enumerate(zip(rotations, adj)):
             for u in rot:
                 if not (0 <= u < n):
-                    raise EmbeddingError(f"vertex {v} lists unknown neighbor {u}")
+                    raise EmbeddingError(f"vertex {v} lists unknown neighbor {_echo(u)}")
             if v in nbrs:
                 raise EmbeddingError(f"loop at vertex {v}")
             if len(nbrs) != len(rot):
@@ -190,7 +196,7 @@ class PlaneGraph:
                 else self.face_of_dart(*outer_dart)
             )
         except (TypeError, ValueError):
-            raise EmbeddingError(f"dart {outer_dart} not present") from None
+            raise EmbeddingError(f"dart {_echo(outer_dart)} not present") from None
 
     # -- accessors ---------------------------------------------------------
 
@@ -479,28 +485,28 @@ def parse_pgr(text: str) -> PlaneGraph:
         raise EmbeddingError("empty pgr document")
     head = lines[0].split()
     if len(head) < 3 or head[0] != "pgr":
-        raise EmbeddingError(f"bad pgr header: {lines[0]!r}")
+        raise EmbeddingError(f"bad pgr header: {_echo(lines[0])}")
     if head[1] != "1":
-        raise EmbeddingError(f"unsupported pgr version {head[1]!r}")
+        raise EmbeddingError(f"unsupported pgr version {_echo(head[1])}")
     try:
         n = int(head[2])
         outer = [int(t) for t in head[3:]]
     except ValueError as e:
-        raise EmbeddingError(f"bad pgr header: {lines[0]!r}") from e
+        raise EmbeddingError(f"bad pgr header: {_echo(lines[0])}") from e
     if len(lines) - 1 != n:
-        raise EmbeddingError(f"expected {n} vertex lines, found {len(lines) - 1}")
+        raise EmbeddingError(f"expected {_echo(n)} vertex lines, found {len(lines) - 1}")
     rotations: list[list[int] | None] = [None] * n
     for ln in lines[1:]:
         if ":" not in ln:
-            raise EmbeddingError(f"bad vertex line: {ln!r}")
+            raise EmbeddingError(f"bad vertex line: {_echo(ln)}")
         head_v, _, tail = ln.partition(":")
         try:
             v = int(head_v)
             rot = [int(t) for t in tail.split()]
         except ValueError as e:
-            raise EmbeddingError(f"bad vertex line: {ln!r}") from e
+            raise EmbeddingError(f"bad vertex line: {_echo(ln)}") from e
         if not (0 <= v < n):
-            raise EmbeddingError(f"vertex id {v} out of range")
+            raise EmbeddingError(f"vertex id {_echo(v)} out of range")
         if rotations[v] is not None:
             raise EmbeddingError(f"duplicate vertex line for {v}")
         rotations[v] = rot
@@ -509,7 +515,7 @@ def parse_pgr(text: str) -> PlaneGraph:
     g = PlaneGraph(rotations, outer_dart=tuple(outer[:2]))
     if g.outer_face != _cyclic_canon(outer):
         raise EmbeddingError(
-            f"outer walk {tuple(outer)} is not the face of its first dart"
+            f"outer walk {_echo(tuple(outer))} is not the face of its first dart"
         )
     return g
 

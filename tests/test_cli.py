@@ -9,7 +9,7 @@ from domtri import cli, coloring, domination, harness
 from domtri.cli import main
 from domtri.coloring import Coloring, is_proper
 from domtri.domination import is_dominating, is_independent
-from domtri.generators import k4_chain, random_triangulation, recursive_eulerian
+from domtri.generators import BuildTrace, k4_chain, random_triangulation, recursive_eulerian
 from domtri.harness import FAMILIES, parse_sweep_config
 from domtri.plane_graph import InvariantBreach, load_pgr, parse_pgr, to_pgr
 
@@ -395,6 +395,71 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, text, me
     assert not any(m in err for m in ("not iterable", "unhashable", "indices must be"))
 
 
+@pytest.mark.parametrize("command", ["color", "audit"])
+def test_deeply_nested_input_file_is_usage_error(tmp_path, capsys, command):
+    # json.loads raises RecursionError past the interpreter's recursion
+    # limit (1,000 frames by default); shallower nesting is a type error.
+    g = tmp_path / "g.pgr"
+    main(["gen", "eulerian", "--t", "2", "--seed", "3", "-o", str(g)])
+    f = tmp_path / "input"
+    for depth in (900, 10_000):
+        nested = "[" * depth + "]" * depth
+        if command == "color":
+            f.write_text(f'{{"steps": {nested}}}')
+            argv = ["color", str(g), "--k", "6", "--trace", str(f)]
+        else:
+            f.write_text(nested + "\n")
+            argv = ["audit", str(f)]
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), depth
+        assert err.startswith(f"{f}: ") and "Traceback" not in err
+        assert len(err) < 200
+
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "parse, text, echoed",
+    [
+        (parse_sweep_config, f"random.n = 1..2..{'3' * 5000}", f"1..2..{'3' * 5000}"),
+        (parse_sweep_config, f"random.n = {'4' * 4000}..5", f"{'4' * 4000}..5"),
+        (parse_sweep_config, f"random.n = {',' * 5000}", "," * 5000),
+        (parse_sweep_config, f"timings = {_LONG}", _LONG),
+        (parse_sweep_config, f"all_odd.instances = {_LONG}", _LONG),
+        (parse_sweep_config, f"random.{_LONG} = 1", f"random.{_LONG}"),
+        (parse_sweep_config, f"families = random, {_LONG}", repr([_LONG])),
+        (parse_sweep_config, f"random.count = -{'1' * 4000}", f"-{'1' * 4000}"),
+        (BuildTrace.from_json, _face_trace(_LONG), _LONG),
+        (BuildTrace.from_json, _face_trace([0, 2, 1], kind=_LONG), _LONG),
+        (harness.BoundReport.from_json, _full_report_line(n=_LONG), _LONG),
+        (harness.BoundReport.from_json, _report_line(f'"{_LONG}"'), _LONG),
+        (harness.BoundReport.from_json, _report_line('"1"', level=_LONG), _LONG),
+        (parse_pgr, f"pgr 1 {_LONG}\n", f"pgr 1 {_LONG}"),
+        (parse_pgr, f"pgr {_LONG} 1\n", _LONG),
+        (parse_pgr, f"pgr 1 1\n0: {_LONG}\n", f"0: {_LONG}"),
+        (Coloring.from_text, f"0 {_LONG}\n", f"0 {_LONG}"),
+    ],
+    ids=[
+        "config-range-form", "config-empty-range", "config-no-integers", "config-timings",
+        "config-pair", "config-unknown-key", "config-unknown-family", "config-negative-count",
+        "trace-face", "trace-kind", "report-field", "report-number", "report-level",
+        "pgr-header", "pgr-version", "pgr-vertex-line", "coloring-line",
+    ],
+)
+def test_long_outside_values_are_echoed_capped(parse, text, echoed):
+    # A value of a config, report, trace, PGR or coloring file is echoed up
+    # to 40 characters and then named by its length, never whole.
+    if parse is parse_sweep_config and not text.startswith("families"):
+        text = f"families = random, all_odd\n{text}\n"
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    message = str(exc.value)
+    assert len(message) < 150, message[:200]
+    assert f"{echoed[:40] + '…'!r} ({len(echoed)} characters)" in message
+
+
 @pytest.mark.parametrize("index", [3_000_000, 300_000_000_000])
 def test_sparse_coloring_file_is_rejected_at_once(tmp_path, capsys, index):
     # Such an index used to set k, and the combinator looped over every
@@ -425,6 +490,22 @@ def test_color_with_checks(tmp_path, capsys):
     code, out, err = run(capsys, "color", str(p), "--check", "planar")
     assert (code, out) == (2, "")
     assert "unknown check 'planar'" in err
+    _, _, err = run(capsys, "color", str(p), "--check", "dynamic:05")
+    assert "# check dynamic:5: " in err
+
+
+def test_unknown_check_is_named_capped(tmp_path, capsys):
+    # "²" is a digit to str.isdigit but not to int(); a long name is capped
+    p = tmp_path / "g.pgr"
+    main(["gen", "k4", "-o", str(p)])
+    capsys.readouterr()
+    for check, shown in (
+        ("dynamic:²", "'dynamic:²'"),
+        ("x" * 5000, f"'{'x' * 40}…' (5000 characters)"),
+    ):
+        code, out, err = run(capsys, "color", str(p), "--check", check)
+        assert (code, out) == (2, "")
+        assert err == f"unknown check {shown} (proper, dynamic:r, acyclic)\n"
 
 
 def test_color_failing_check_exits_1(tmp_path, capsys):
@@ -599,6 +680,21 @@ def test_dominate_respects_limit(tmp_path, capsys):
     )
     assert code == 1
     assert "oracle limit" in err
+
+
+def test_dominate_keeps_each_oracles_default_limit(tmp_path, capsys):
+    # iota's default limit is n <= 35 and gamma's n <= 24; --limit-n
+    # replaces either one.
+    p = tmp_path / "g.pgr"
+    main(["gen", "random", "--n", "25", "--seed", "1", "-o", str(p)])
+    capsys.readouterr()
+    code, out, _ = run(capsys, "dominate", str(p), "--method", "iota")
+    assert code == 0 and out.startswith("exact_iota size=")
+    code, out, err = run(capsys, "dominate", str(p), "--method", "gamma")
+    assert (code, out) == (1, "")
+    assert err == "oracle limit: gamma oracle limited to n <= 24, got 25\n"
+    code, out, _ = run(capsys, "dominate", str(p), "--method", "gamma", "--limit-n", "25")
+    assert code == 0 and out.startswith("exact_gamma size=")
 
 
 def test_dominate_negative_limit_is_usage_error(tmp_path, capsys):

@@ -189,15 +189,17 @@ def test_k4_chain():
 
 
 def test_k4_and_k4_chain_are_pinned():
-    # Digest taken when k4 and k4_chain wrote their rotations out or stacked
-    # them one by one; replaying the step list must give the same maps,
-    # edge orders and private vertices.
+    # Digest taken when k4, octahedron and k4_chain wrote their rotations
+    # out or stacked them one by one; replaying the step list (one triangle
+    # step for the octahedron) must give the same maps, edge orders and
+    # private vertices.
     digest = hashlib.sha256()
-    for g, protected in ((k4(), ()), *(k4_chain(k) for k in (*range(2, 60), 250, 1200))):
+    fixed = ((k4(), ()), (octahedron(), ()))
+    for g, protected in (*fixed, *(k4_chain(k) for k in (*range(2, 60), 250, 1200))):
         text = to_pgr(g) + repr(g.edges()) + repr(sorted(protected))
         digest.update(text.encode())
     assert digest.hexdigest() == (
-        "f239187f06949b2ff76939eb29bedc82f6028fd386bbfea1ebf56a0dd123fae4"
+        "3b44148b524a8afc87b8ccf4bb43724e2b576be8d430e35ea3fa909e156c453c"
     )
 
 
