@@ -136,7 +136,10 @@ def _parse_checks(raw: str) -> list[tuple[str, Callable[..., bool]]]:
         if part in ("proper", "acyclic"):
             out.append((part, is_proper if part == "proper" else is_acyclic))
         elif part.startswith("dynamic:") and part[8:].isdecimal():
-            r = int(part[8:])
+            try:
+                r = _int(part[8:])
+            except ValueError as exc:  # more digits than int() reads
+                raise UsageError(f"check dynamic:r: {exc}") from None
             out.append((f"dynamic:{r}", lambda g, c, r=r: is_r_dynamic(g, c, r)))
         else:
             raise UsageError(f"unknown check {_echo(part)} (proper, dynamic:r, acyclic)")
@@ -171,12 +174,7 @@ def _cmd_color(args) -> int:
 
 
 def _result_doc(res, n: int) -> dict:
-    doc = {
-        "method": res.method,
-        "size": res.size,
-        "vertices": sorted(res.vertices),
-        "n": n,
-    }
+    doc = {"method": res.method, "size": res.size, "vertices": sorted(res.vertices), "n": n}
     if res.witness_class is not None:
         doc["witness_class"] = res.witness_class
         doc["used_fallback"] = res.used_fallback
@@ -190,9 +188,8 @@ def _cmd_dominate(args) -> int:
         raise UsageError("--limit-n is not read with --method combinator")
     if args.method != "combinator" and args.coloring is not None:
         raise UsageError(f"--coloring is not read with --method {args.method}")
-    limit_n = args.limit_n
-    if limit_n is not None and limit_n < 0:
-        raise UsageError(f"--limit-n: must be >= 0, got {limit_n}")
+    if args.limit_n is not None and args.limit_n < 0:
+        raise UsageError(f"--limit-n: must be >= 0, got {_echo(args.limit_n)}")
     g = load_pgr(args.graph)
     if args.method == "combinator":
         if args.coloring:
@@ -203,7 +200,7 @@ def _cmd_dominate(args) -> int:
             res = class_combinator(g, four_coloring(g))
     else:
         oracle = exact_iota if args.method == "iota" else exact_gamma
-        res = oracle(g) if limit_n is None else oracle(g, OracleLimit(limit_n))
+        res = oracle(g) if args.limit_n is None else oracle(g, OracleLimit(args.limit_n))
 
     if args.json:
         print(json.dumps(_result_doc(res, g.n), sort_keys=True))
@@ -293,6 +290,14 @@ def _cmd_audit(args) -> int:
 # -- entry -------------------------------------------------------------------------
 
 
+def _flag_int(text: str) -> int:
+    """A flag's integer, read as `_int` reads config ones: echoed capped."""
+    try:
+        return _int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="domtri",
@@ -302,18 +307,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a graph and write it as PGR")
     g.add_argument("family", choices=tuple(FAMILIES))
-    g.add_argument("--n", type=int, help="vertex count (size families)")
-    g.add_argument("--k", type=int, help="block/gadget count (chain families)")
-    g.add_argument("--t", type=int, help="insertion rounds (eulerian)")
-    g.add_argument("--seed", type=int, help="build seed (default 1)")
-    g.add_argument("--flips", type=int, help="flip-walk length (random/near)")
+    g.add_argument("--n", type=_flag_int, help="vertex count (size families)")
+    g.add_argument("--k", type=_flag_int, help="block/gadget count (chain families)")
+    g.add_argument("--t", type=_flag_int, help="insertion rounds (eulerian)")
+    g.add_argument("--seed", type=_flag_int, help="build seed (default 1)")
+    g.add_argument("--flips", type=_flag_int, help="flip-walk length (random/near)")
     g.add_argument("-o", "--output", default=None, help="PGR path (default stdout)")
     g.add_argument("--trace", help="also write the build trace as JSON")
     g.set_defaults(func=_cmd_gen)
 
     c = sub.add_parser("color", help="color a PGR graph and optionally check it")
     c.add_argument("graph")
-    c.add_argument("--k", type=int, choices=(4, 6), default=4)
+    c.add_argument("--k", type=_flag_int, choices=(4, 6), default=4)
     c.add_argument("--trace", help="build trace JSON (required for --k 6)")
     c.add_argument("--check", help="comma list: proper,dynamic:r,acyclic")
     c.add_argument("-o", "--output", default=None)
@@ -325,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("combinator", "iota", "gamma"), default="combinator"
     )
     d.add_argument("--coloring", help="coloring file for --method combinator")
-    d.add_argument("--limit-n", type=int, help="oracle vertex-count ceiling")
+    d.add_argument("--limit-n", type=_flag_int, help="oracle vertex-count ceiling")
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=_cmd_dominate)
 

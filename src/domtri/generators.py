@@ -214,7 +214,7 @@ def _stacked(n, seed):
     """The lists and insertion walks of a stacked triangulation on n
     vertices."""
     if n < 3:
-        raise ValueError(f"a stacked triangulation needs n >= 3, got {n}")
+        raise ValueError(f"a stacked triangulation needs n >= 3, got {_echo(n)}")
     return _grow("stack", n - 3, seed)
 
 
@@ -250,7 +250,7 @@ def recursive_eulerian(t: int, seed: int) -> tuple[PlaneGraph, BuildTrace]:
     vertices to always induce vertex-disjoint triangles.
     """
     if t < 0:
-        raise ValueError(f"step count must be >= 0, got {t}")
+        raise ValueError(f"step count must be >= 0, got {_echo(t)}")
     rot, walks = _grow("triangle", t, seed, _eulerian_face)
     trace = BuildTrace(tuple(TraceStep("triangle", w) for w in walks))
     return PlaneGraph(rot, outer_dart=(0, 1)), trace
@@ -292,7 +292,7 @@ def diamond_chain(k: int) -> PlaneGraph:
     fanned.  Gadget i's a, b, c, t1, t2, t3, v4 are vertices 7i .. 7i + 6.
     """
     if k < 2:
-        raise ValueError(f"diamond chain needs k >= 2, got {k}")
+        raise ValueError(f"diamond chain needs k >= 2, got {_echo(k)}")
     m = 3 * k  # the ring: a_i = 3i, b_i = 3i + 1, c_i = 3i + 2, d_i = a_{i+1}
     rot = []
     for a in range(0, m, 3):
@@ -337,7 +337,7 @@ def k4_chain(k: int) -> tuple[PlaneGraph, frozenset[int]]:
     number is exactly k.  Returns the graph and the k private vertices
     (one per copy; together they dominate everything)."""
     if k < 2:
-        raise ValueError(f"k4 chain needs k >= 2, got {k}")
+        raise ValueError(f"k4 chain needs k >= 2, got {_echo(k)}")
     faces = [_TRIANGLE_INNER]  # vertex 3 goes in; vertex 0 keeps N[0] = {0,1,2,3}
     p, q, r = 1, 3, 2  # face avoiding vertex 0, in walk order
     for a in range(4, 4 * k, 4):  # stacks a, b, c and u = a + 3
@@ -359,11 +359,11 @@ def k4_chain(k: int) -> tuple[PlaneGraph, frozenset[int]]:
 def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGraph:
     """Random stacked triangulation mixed by a seeded walk of random edge
     flips (illegal flips are skipped).  flips defaults to 3n."""
+    start, _ = _stacked(n, split_seed(seed, 0))  # first, so that a bad n is named
     if flips is None:
         flips = 3 * n
     if flips < 0:
-        raise ValueError(f"flip count must be >= 0, got {flips}")
-    start, _ = _stacked(n, split_seed(seed, 0))
+        raise ValueError(f"flip count must be >= 0, got {_echo(flips)}")
     rng = random.Random(split_seed(seed, 1))
     # Outputs per (n, seed) are fixed (full.cfg's seeds were sampled from
     # them): edge k is drawn in the edges() order of the lists as the last
@@ -440,20 +440,8 @@ def near_triangulation_from(g: PlaneGraph, v: int) -> tuple[PlaneGraph, dict[int
     return PlaneGraph(rot, outer_dart=(relabel[a], relabel[b])), relabel
 
 
-MIN5_WALKS = 60  # flip walks per min_degree5_sample call, for gen and sweep alike
-
-
-def min_degree5_sample(n: int, seed: int) -> PlaneGraph | None:
-    """Try to find a triangulation on n vertices with minimum degree 5 by
-    MIN5_WALKS seeded flip walks; None when all of them miss.  Absence is
-    a value: no such triangulation exists below n = 12, and the n = 12
-    instance is the icosahedron itself."""
-    if n == 12:
-        return icosahedron()
-    if n < 12:
-        return None
-    for attempt in range(MIN5_WALKS):
-        g = random_triangulation(n, split_seed(seed, 2, attempt), flips=6 * n)
-        if min(g.degrees()) >= 5:
-            return g
-    return None
+def min_degree5_sample(n: int) -> PlaneGraph | None:
+    """The icosahedron at n = 12, else None: no triangulation has minimum
+    degree 5 below 12 vertices or at 13, and none is built at n >= 14,
+    where they exist (Batagelj 1983)."""
+    return icosahedron() if n == 12 else None

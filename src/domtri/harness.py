@@ -199,19 +199,23 @@ def _int(text: str) -> int:
         raise ValueError(f"{_echo(text)} is not an integer") from None
 
 
+MAX_RANGE = 10_000  # integers one lo..hi range may hold
+
+
 def _parse_ints(raw: str) -> tuple[int, ...]:
-    """Accepts '7', '2,5,9' and '4..8' (inclusive, nonempty range)."""
+    """Accepts '7', '2,5,9' and '4..8' (inclusive, 1 to MAX_RANGE integers)."""
     out: list[int] = []
     for part in raw.split(","):
         part = part.strip()
         if ".." in part:
             if part.count("..") != 1:
                 raise ValueError(f"range {_echo(part)} is not of the form lo..hi")
-            lo, hi = part.split("..")
-            span = range(_int(lo), _int(hi) + 1)
-            if not span:
+            lo, hi = map(_int, part.split(".."))
+            if hi < lo:
                 raise ValueError(f"no integers in range {_echo(part)}")
-            out.extend(span)
+            if hi - lo >= MAX_RANGE:
+                raise ValueError(f"range {_echo(part)} holds over {MAX_RANGE} integers")
+            out.extend(range(lo, hi + 1))
         elif part:
             out.append(_int(part))
     if not out:
@@ -295,13 +299,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ValueError(f"unknown key {_echo(key)}")
         _parse_key(key, parse, value)
     return SweepConfig(
-        seed=seed,
-        families=fams,
-        values=tuple(values.items()),
-        iota_max_n=iota_max,
-        gamma_max_n=gamma_max,
-        timings=timings_raw in ("on", "yes", "true"),
-        out=out,
+        seed=seed, families=fams, values=tuple(values.items()), iota_max_n=iota_max,
+        gamma_max_n=gamma_max, timings=timings_raw in ("on", "yes", "true"), out=out,
     )
 
 
@@ -495,9 +494,9 @@ class Family:
     and which rows it adds to each report.
 
     `build(seed, **params)` returns `(graph, trace)`.  The graph is None
-    when a sampler gives up (a sweep skips it, `gen` exits 1); the trace
-    is the incremental families' BuildTrace, else None.  `plan` is the
-    corpus shape, read from the `<family>.<key>` config values:
+    when the family has no graph of that size (a sweep skips it, `gen`
+    exits 1); the trace is the incremental families' BuildTrace, else
+    None.  `plan` is the corpus shape, read from `<family>.<key>` values:
 
     - "fixed": the one graph, seed 0;
     - "count": `count` graphs whose sizes cycle over the size list;
@@ -568,8 +567,10 @@ FAMILIES: dict[str, Family] = {
         lambda seed, k: (k4_chain(k)[0], None),
         "k", "sizes", (2, 3, 4, 5), check=_k4_chain_checks,
     ),
+    # Seeded although the build ignores its seed: each report's `seed` is
+    # inside the pinned digests, and a degree-raising builder would read it.
     "min_degree5": Family(
-        lambda seed, n: (min_degree5_sample(n, seed), None),
+        lambda seed, n: (min_degree5_sample(n), None),
         "n", "sizes", (12, 14, 16), seeded=True, check=_min_degree5_checks,
     ),
     "all_odd": Family(_random, "n", "pairs", check=_all_odd_checks),
@@ -623,7 +624,7 @@ def run_sweep(cfg: SweepConfig) -> list[BoundReport]:
             except Exception as exc:  # construction failures are data
                 ctx.errors.append(f"build: {exc}")
             else:
-                if g is None:  # a sampler gave up; nothing to check
+                if g is None:  # no graph of this size; nothing to check
                     continue
                 n = g.n
                 try:

@@ -9,7 +9,9 @@ independence, domination and degree checks that do not go through the
 oracle.
 """
 
+import ast
 import hashlib
+from collections import Counter
 import itertools
 import time
 from pathlib import Path
@@ -38,7 +40,6 @@ from domtri.generators import (
     icosahedron,
     k4,
     k4_chain,
-    min_degree5_sample,
     near_triangulation_from,
     octahedron,
     planar_three_tree,
@@ -79,7 +80,7 @@ ALL_ODD_SEEDS = {
 @pytest.fixture(scope="module")
 def corpus():
     """200 random triangulations (4 <= n <= 60), 100 near triangulations
-    by vertex deletion, and the sampled minimum-degree-5 instances, each
+    by vertex deletion, and the icosahedron (minimum degree 5), each
     with its 4-coloring and combinator result."""
     t0 = time.perf_counter()
     raw = []
@@ -93,11 +94,7 @@ def corpus():
         base = random_triangulation(n, seed)
         h, _ = near_triangulation_from(base, seed % n)
         raw.append((f"near-{i}", h))
-    min5 = [("icosahedron", icosahedron())]
-    for j, n in enumerate((12, 14, 16)):
-        g = min_degree5_sample(n, split_seed(CORPUS_SEED, 2, j))
-        if g is not None:
-            min5.append((f"min5-{n}", g))
+    min5 = [("icosahedron", icosahedron())]  # min_degree5_sample's one map
     raw.extend(min5)
 
     instances = []
@@ -299,10 +296,16 @@ def test_criterion_09_odd_degree_properties():
     assert r.size == 2
 
 
-def test_criterion_10_deterministic_reports(tmp_path):
+@pytest.fixture(scope="module")
+def full_sweeps(tmp_path_factory):
+    """The report files of two full.cfg sweeps, each in its own directory."""
     cfg = parse_sweep_config((ROOT / "configs" / "full.cfg").read_text())
-    first = emit(run_sweep(cfg), tmp_path / "a" / "sweep", include_timings=cfg.timings)
-    second = emit(run_sweep(cfg), tmp_path / "b" / "sweep", include_timings=cfg.timings)
+    tmp = tmp_path_factory.mktemp("full")
+    return [emit(run_sweep(cfg), tmp / d / "sweep", include_timings=cfg.timings) for d in "ab"]
+
+
+def test_criterion_10_deterministic_reports(full_sweeps):
+    first, second = full_sweeps
     assert [p.name for p in first] == [p.name for p in second]
     for pa, pb in zip(first, second):
         assert pa.read_bytes() == pb.read_bytes()
@@ -324,3 +327,79 @@ def test_criterion_10_deterministic_reports(tmp_path):
         "gamma = n/4 tight instances: 19\n"
         "iota = 2n/7 tight instances: 2\n"
     )
+
+
+# Rows per name in the seed-1 full.cfg report: a name may gain instances,
+# never lose them, so a change that stops a check from running shows here.
+COVERAGE_FLOORS = {
+    "all_odd_classes_dominating": 11,
+    "alpha_combinator_bound": 170,
+    "combinator_accounting": 210,
+    "combinator_min5_n3": 2,
+    "combinator_near_5n12": 210,
+    "combinator_planar_3n8": 170,
+    "conjecture_gamma_n4": 87,
+    "conjecture_iota_n3": 124,
+    "deg4_disjoint_triangles": 21,
+    "deg4_seven_bound": 21,
+    "degrees_all_even": 24,
+    "degrees_all_odd": 4,
+    "diamond_iota_2n7": 2,
+    "diamond_witness_ids": 2,
+    "edge_count_3n_minus_6": 170,
+    "eulerian_13n42": 21,
+    "eulerian_class_bound": 24,
+    "eulerian_iota_13n42": 21,
+    "face_count_2n_minus_4": 170,
+    "faces_inequality": 233,
+    "faces_inequality_strengthened": 233,
+    "gamma_le_iota": 115,
+    "gamma_near_n3": 101,
+    "iota_le_combinator": 147,
+    "k4_chain_gamma_n4": 4,
+    "min_degree_is_5": 1,
+    "six_coloring_5dynamic": 24,
+    "six_coloring_distinct_missing": 24,
+    "six_coloring_missing_shape": 24,
+    "six_coloring_proper": 24,
+    "stacked_classes_dominating": 40,
+    "stacked_min_class_n4": 40,
+    "three_tree_iota_n4": 30,
+    "vertex_link_dichotomy": 210,
+}
+
+# verify_combinator_accounting's rows: a sweep checks them all but reports
+# them as the one `combinator_accounting` row.
+ACCOUNTING_ONLY = {
+    "combined_size", "f4_plus_outer", "fallback_classes_dominating", "fallback_size",
+    "interior_face_budget", "min5_bound", "min5_f4_zero", "min5_s", "near_bound",
+    "odd_vertices_dominated", "planar_bound", "planar_f4", "planar_f4_strict",
+    "planar_size", "planar_three_s", "planar_y", "s_independent", "three_s",
+    "undominated_sets_apart", "weighted_deletion_budget", "x_holes_distinct",
+    "x_holes_even_degree", "x_holes_inner", "x_in_even_inner_faces",
+    "y_at_most_half_outer", "y_holes_outer",
+}
+
+
+def row_names_in_source() -> set[str]:
+    """Every literal row name that src/domtri passes to ctx.rec or BoundRecord."""
+    names = set()
+    for path in (ROOT / "src" / "domtri").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            f, first = node.func, node.args[0]
+            rec = isinstance(f, ast.Attribute) and f.attr == "rec" and ast.unparse(f.value) == "ctx"
+            row = isinstance(f, ast.Name) and f.id == "BoundRecord"
+            if (rec or row) and isinstance(first, ast.Constant) and isinstance(first.value, str):
+                names.add(first.value)
+    return names
+
+
+def test_every_row_name_meets_its_coverage_floor(full_sweeps):
+    assert row_names_in_source() == COVERAGE_FLOORS.keys() | ACCOUNTING_ONLY
+    jsonl = next(p for p in full_sweeps[0] if p.suffix == ".jsonl")
+    counts = Counter(r.name for rep in load_reports(jsonl) for r in rep.records)
+    short = {k: (counts[k], floor) for k, floor in COVERAGE_FLOORS.items() if counts[k] < floor}
+    assert short == {}
+    assert ACCOUNTING_ONLY.isdisjoint(counts)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import sys
 import time
@@ -156,7 +158,7 @@ def test_gen_builds_the_sweep_graph_for_every_family(monkeypatch, capsys):
             assert (code, out) == (1, ""), family
         else:
             assert (code, out) == (0, to_pgr(g)), family
-    # no triangulation on 14 vertices turns up; both sides must agree on that
+    # min_degree5_sample knows no map on 14 vertices; both sides must agree on that
     assert missing == ["min_degree5"]
 
 
@@ -419,6 +421,47 @@ def test_deeply_nested_input_file_is_usage_error(tmp_path, capsys, command):
 
 _LONG = "x" * 5000
 
+# every integer flag, each after the command words that reach it
+INT_FLAGS = {
+    "gen-n": ["gen", "random", "--n"],
+    "gen-k": ["gen", "diamond", "--k"],
+    "gen-t": ["gen", "eulerian", "--t"],
+    "gen-seed": ["gen", "random", "--seed"],
+    "gen-flips": ["gen", "random", "--flips"],
+    "color-k": ["color", "G", "--k"],
+    "dominate-limit-n": ["dominate", "G", "--limit-n"],
+}
+
+
+# command words before a value that parses as an integer but fails the
+# command's range check
+RANGE_CHECKED = {
+    "n": ["gen", "random", "--n"],
+    "diamond-k": ["gen", "diamond", "--k"],
+    "k4_chain-k": ["gen", "k4_chain", "--k"],
+    "t": ["gen", "eulerian", "--t"],
+    "flips": ["gen", "random", "--n", "9", "--flips"],
+    "limit-n": ["dominate", "G", "--method", "iota", "--limit-n"],
+}
+_NEGATIVE = "-" + "5" * 4000
+
+
+def _cli(argv):
+    """A parse(text) that runs the CLI on `argv + [text]`, expects exit 2
+    and raises the last line of its stderr as a ValueError."""
+
+    def parse(text):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, text])
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        assert code == 2
+        raise ValueError(err.getvalue().splitlines()[-1])
+
+    return parse
+
 
 @pytest.mark.parametrize(
     "parse, text, echoed",
@@ -440,17 +483,22 @@ _LONG = "x" * 5000
         (parse_pgr, f"pgr {_LONG} 1\n", _LONG),
         (parse_pgr, f"pgr 1 1\n0: {_LONG}\n", f"0: {_LONG}"),
         (Coloring.from_text, f"0 {_LONG}\n", f"0 {_LONG}"),
+        *((_cli(argv), _LONG, _LONG) for argv in INT_FLAGS.values()),
+        *((_cli(argv), _NEGATIVE, _NEGATIVE) for argv in RANGE_CHECKED.values()),
     ],
     ids=[
         "config-range-form", "config-empty-range", "config-no-integers", "config-timings",
         "config-pair", "config-unknown-key", "config-unknown-family", "config-negative-count",
         "trace-face", "trace-kind", "report-field", "report-number", "report-level",
         "pgr-header", "pgr-version", "pgr-vertex-line", "coloring-line",
+        *(f"flag-{name}" for name in INT_FLAGS),
+        *(f"range-{name}" for name in RANGE_CHECKED),
     ],
 )
 def test_long_outside_values_are_echoed_capped(parse, text, echoed):
-    # A value of a config, report, trace, PGR or coloring file is echoed up
-    # to 40 characters and then named by its length, never whole.
+    # A value of a config, report, trace, PGR or coloring file, or of an
+    # integer flag (malformed, or read but out of range), is echoed up to
+    # 40 characters and then named by its length, never whole.
     if parse is parse_sweep_config and not text.startswith("families"):
         text = f"families = random, all_odd\n{text}\n"
     with pytest.raises(ValueError) as exc:
@@ -458,6 +506,25 @@ def test_long_outside_values_are_echoed_capped(parse, text, echoed):
     message = str(exc.value)
     assert len(message) < 150, message[:200]
     assert f"{echoed[:40] + '…'!r} ({len(echoed)} characters)" in message
+
+
+@pytest.mark.parametrize("argv", INT_FLAGS.values(), ids=INT_FLAGS)
+def test_integer_flags_name_an_over_long_value(capsys, argv):
+    # argparse's type=int echoed all 5,000 digits in an `invalid int value`
+    # line; a flag is now read like a config integer, and valid text reads
+    # as int() reads it.
+    digits = "5" * 5000
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(digits):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, digits])
+        err = capsys.readouterr().err
+        line = err.splitlines()[-1]
+        assert exit_.value.code == 2 and len(err) < 1024 and len(line) < 150
+        assert line.endswith(
+            f"argument {argv[-1]}: '5555555555…' has 5000 digits, too many to read"
+        )
+    args = cli.build_parser().parse_args([*argv, " +0_4 "])
+    assert getattr(args, argv[-1][2:].replace("-", "_")) == int(" +0_4 ") == 4
 
 
 @pytest.mark.parametrize("index", [3_000_000, 300_000_000_000])
@@ -506,6 +573,20 @@ def test_unknown_check_is_named_capped(tmp_path, capsys):
         code, out, err = run(capsys, "color", str(p), "--check", check)
         assert (code, out) == (2, "")
         assert err == f"unknown check {shown} (proper, dynamic:r, acyclic)\n"
+
+
+def test_over_long_dynamic_suffix_is_a_usage_error(tmp_path, capsys):
+    # int() refused the 5,000-digit suffix with a ValueError traceback; the
+    # suffix is now read like a config integer.
+    p = tmp_path / "g.pgr"
+    main(["gen", "k4", "-o", str(p)])
+    capsys.readouterr()
+    digits = "5" * 5000
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(digits):
+        pytest.skip("this Python reads integers of any length")
+    code, out, err = run(capsys, "color", str(p), "--check", f"proper,dynamic:{digits}")
+    assert (code, out) == (2, "")
+    assert err == "check dynamic:r: '5555555555…' has 5000 digits, too many to read\n"
 
 
 def test_color_failing_check_exits_1(tmp_path, capsys):
@@ -806,6 +887,25 @@ def test_sweep_bad_config_is_usage_error(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("config error:") and bad.split()[0] in err
         assert form in err and "unpack" not in err
+
+
+@pytest.mark.parametrize(
+    "value", [f"5..{'4' * 4000}", "1..100000000"], ids=["overflow", "over-cap"]
+)
+def test_sweep_range_is_sized_before_it_is_built(tmp_path, capsys, value):
+    # A range is sized from its ends: `5..` and 4,000 fours raised an
+    # OverflowError traceback, and 1..100000000 would build 10**8 ints.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"families = random\nrandom.n = {value}\n")
+    code, out, err = run(capsys, "sweep", "-c", str(cfg))
+    shown = repr(value) if len(value) <= 40 else f"{value[:40] + '…'!r} ({len(value)} characters)"
+    assert (code, out) == (2, "")
+    assert err == (
+        f"config error: random.n: range {shown} holds over {harness.MAX_RANGE} integers\n"
+    )
+    assert len(err) < 150
+    cap = harness.MAX_RANGE
+    assert len(parse_sweep_config(f"random.n = 1..{cap}\n").get_ints("random.n", ())) == cap
 
 
 def test_negative_step_count_and_empty_size_list_are_usage_errors(tmp_path, capsys):

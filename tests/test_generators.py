@@ -11,7 +11,6 @@ from domtri import generators
 from domtri.coloring import four_coloring
 from domtri.domination import is_dominating, is_independent
 from domtri.generators import (
-    MIN5_WALKS,
     BuildTrace,
     TraceStep,
     diamond_chain,
@@ -247,7 +246,7 @@ def test_flip_walk_small_n_is_pinned():
 def test_flip_walk_long_is_pinned():
     # Digest of to_pgr plus edges() order, taken when every accepted flip
     # re-canonicalised all n lists and rebuilt the whole edge list: the
-    # 6n-flip walks of min_degree5_sample, a 1000-vertex walk and the
+    # 6n-flip walks at n = 14..20, a 1000-vertex walk and the
     # connected family, which shuffles edges(), must all survive the walk
     # that refreshes only the lists a flip touched.
     digest = hashlib.sha256()
@@ -434,30 +433,17 @@ def test_near_triangulation_from_is_pinned_and_built_once(monkeypatch):
     )
 
 
-def test_min_degree5_sample():
-    assert min_degree5_sample(12, 0) == icosahedron()
-    assert min_degree5_sample(11, 0) is None  # impossible below 12 vertices
-    assert min_degree5_sample(14, 0) is None or min(
-        min_degree5_sample(14, 0).degrees()
-    ) == 5
+def test_min_degree5_sample(monkeypatch):
+    # The icosahedron at n = 12 and None elsewhere: no flip walk runs, and
+    # off n = 12 no map is built.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("min_degree5_sample searched")
 
-
-@pytest.mark.parametrize("hit", [0, 3, None])
-def test_min_degree5_sample_draws_the_sweeps_flip_walks(monkeypatch, hit):
-    # Walk `attempt` is random_triangulation(n, split_seed(seed, 2, attempt),
-    # flips=6n), as in the sweep; the first map of minimum degree 5 is
-    # returned, and after MIN5_WALKS misses the answer is None.
-    calls = []
-
-    def walk(n, seed, flips=None):
-        calls.append((n, seed, flips))
-        return icosahedron() if len(calls) - 1 == hit else octahedron()
-
-    monkeypatch.setattr(generators, "random_triangulation", walk)
-    g = min_degree5_sample(14, 9)
-    walks = MIN5_WALKS if hit is None else hit + 1
-    assert calls == [(14, split_seed(9, 2, a), 84) for a in range(walks)]
-    assert g == (None if hit is None else icosahedron())
+    monkeypatch.setattr(generators, "random_triangulation", forbidden)
+    assert min_degree5_sample(12) == icosahedron()
+    monkeypatch.setattr(PlaneGraph, "__init__", forbidden)
+    for n in (*range(3, 12), *range(13, 41)):
+        assert min_degree5_sample(n) is None, n
 
 
 def test_all_odd_seeds_regenerate():
