@@ -298,6 +298,19 @@ def _flag_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _one_of(*choices) -> dict:
+    """add_argument keywords admitting only `choices` (ints read by `_flag_int`): the
+    type check echoes a bad value capped before argparse's `choices` echoes it whole."""
+    def parse(text: str):
+        value = _flag_int(text) if isinstance(choices[0], int) else text
+        if value in choices:
+            return value
+        shown = ", ".join(map(repr, choices))
+        raise argparse.ArgumentTypeError(f"invalid choice: {_echo(value)} (choose from {shown})")
+
+    return {"type": parse, "choices": choices}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="domtri",
@@ -306,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a graph and write it as PGR")
-    g.add_argument("family", choices=tuple(FAMILIES))
+    g.add_argument("family", **_one_of(*FAMILIES))
     g.add_argument("--n", type=_flag_int, help="vertex count (size families)")
     g.add_argument("--k", type=_flag_int, help="block/gadget count (chain families)")
     g.add_argument("--t", type=_flag_int, help="insertion rounds (eulerian)")
@@ -318,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("color", help="color a PGR graph and optionally check it")
     c.add_argument("graph")
-    c.add_argument("--k", type=_flag_int, choices=(4, 6), default=4)
+    c.add_argument("--k", default=4, **_one_of(4, 6))
     c.add_argument("--trace", help="build trace JSON (required for --k 6)")
     c.add_argument("--check", help="comma list: proper,dynamic:r,acyclic")
     c.add_argument("-o", "--output", default=None)
@@ -326,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dominate", help="dominating-set computations on a PGR graph")
     d.add_argument("graph")
-    d.add_argument(
-        "--method", choices=("combinator", "iota", "gamma"), default="combinator"
-    )
+    d.add_argument("--method", default="combinator", **_one_of("combinator", "iota", "gamma"))
     d.add_argument("--coloring", help="coloring file for --method combinator")
     d.add_argument("--limit-n", type=_flag_int, help="oracle vertex-count ceiling")
     d.add_argument("--json", action="store_true")

@@ -90,7 +90,7 @@ def is_proper(g: PlaneGraph, c: Coloring) -> bool:
     members: dict[int, set[int]] = {}  # each class's vertices
     for v, x in enumerate(c.colors):
         members.setdefault(x, set()).add(v)
-    return all(members[x].isdisjoint(nbrs) for x, nbrs in zip(c.colors, g._adj))
+    return all(members[x].isdisjoint(nbrs) for x, nbrs in zip(c.colors, g.rotations))
 
 
 def _require_proper(g: PlaneGraph, c: Coloring):
@@ -102,9 +102,8 @@ def is_r_dynamic(g: PlaneGraph, c: Coloring, r: int) -> bool:
     """True iff every vertex has neighbors in at least min(r, degree)
     distinct classes."""
     _require_proper(g, c)
-    for v in g.vertices():
-        seen = {c[u] for u in g.neighbors(v)}
-        if len(seen) < min(r, g.degree(v)):
+    for nbrs in g.rotations:
+        if len({c[u] for u in nbrs}) < min(r, len(nbrs)):
             return False
     return True
 
@@ -116,8 +115,8 @@ def is_acyclic(g: PlaneGraph, c: Coloring) -> bool:
     for pair in itertools.combinations(range(c.k), 2):
         # vertices outside the pair stay as components of their own
         adj = [
-            [u for u in g.neighbors(v) if c[u] in pair] if c[v] in pair else []
-            for v in g.vertices()
+            [u for u in nbrs if c[u] in pair] if c[v] in pair else []
+            for v, nbrs in enumerate(g.rotations)
         ]
         if sum(map(len, adj)) // 2 + _count_components(adj) != g.n:
             return False
@@ -132,7 +131,7 @@ def missing_colors(g: PlaneGraph, c: Coloring, v: int) -> frozenset[int]:
 
 def _missing(g: PlaneGraph, c: Coloring, v: int) -> frozenset[int]:
     """missing_colors for a coloring already known to be proper."""
-    return frozenset(range(c.k)) - {c[v]} - {c[u] for u in g.neighbors(v)}
+    return frozenset(range(c.k)) - {c[v]} - {c[u] for u in g.rotation(v)}
 
 
 # Vertex choices the four_coloring search may make before it falls back to
@@ -156,8 +155,7 @@ def four_coloring(g: PlaneGraph) -> Coloring:
     (Morgenstern & Shapiro 1991).  Raises ColoringLimitExceeded if that
     fails too.
     """
-    nbrs = [g.neighbors(v) for v in g.vertices()]
-    colors = _dsatur(nbrs) or _kempe_insertion(nbrs)  # n >= 1: never empty
+    colors = _dsatur(g.rotations) or _kempe_insertion(g.rotations)  # n >= 1: never empty
     c = Coloring(4, tuple(colors))
     if not is_proper(g, c):
         raise ColoringLimitExceeded("the Kempe fallback left an improper coloring")
@@ -296,7 +294,7 @@ def rec_eulerian_six_coloring(g: PlaneGraph, trace: BuildTrace) -> Coloring:
     def missing(v: int) -> set[int]:
         # The replayed trace adds only the next ids and never removes an
         # edge, so the colored ids induce the graph grown so far.
-        seen = {colors[u] for u in g.neighbors(v) if u < len(colors)}
+        seen = {colors[u] for u in g.rotations[v] if u < len(colors)}
         return set(range(6)) - {colors[v]} - seen
 
     for step in trace.steps:

@@ -74,7 +74,7 @@ def is_dominating(g: PlaneGraph, s) -> bool:
 
 def is_independent(g: PlaneGraph, s) -> bool:
     s = frozenset(s)
-    return all(s.isdisjoint(g.neighbors(v)) for v in s)
+    return all(s.isdisjoint(g.rotation(v)) for v in s)
 
 
 def undominated_by(g: PlaneGraph, c: Coloring, i: int) -> frozenset[int]:
@@ -87,14 +87,14 @@ def greedy_independent(g: PlaneGraph, vs) -> frozenset[int]:
     """Maximal independent set of G[vs], scanning vs in ascending id."""
     chosen: set[int] = set()
     for v in sorted(vs):
-        if chosen.isdisjoint(g.neighbors(v)):
+        if chosen.isdisjoint(g.rotation(v)):
             chosen.add(v)
     return frozenset(chosen)
 
 
 def _in_triangle(g: PlaneGraph, v: int) -> bool:
     nbrs = g.neighbors(v)
-    return any(not nbrs.isdisjoint(g.neighbors(a)) for a in nbrs)
+    return any(not nbrs.isdisjoint(g.rotations[a]) for a in nbrs)
 
 
 def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
@@ -146,12 +146,6 @@ def class_combinator(g: PlaneGraph, c: Coloring) -> DominationResult:
 # -- exact oracles ------------------------------------------------------------
 
 
-def _masks(g: PlaneGraph):
-    nbr = [sum(1 << u for u in g.neighbors(v)) for v in g.vertices()]
-    closed = [nbr[v] | (1 << v) for v in g.vertices()]
-    return nbr, closed
-
-
 def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationResult:
     """The branch and bound behind both oracles (see `exact_gamma`).  Each
     later branch bars the dominators tried before it, and with
@@ -177,7 +171,8 @@ def _search(g: PlaneGraph, limit: OracleLimit, independent: bool) -> DominationR
         raise OracleLimitExceeded(
             f"{what} oracle limited to n <= {limit.max_vertices}, got {n}"
         )
-    nbr, closed = _masks(g)
+    nbr = [sum(1 << u for u in r) for r in g.rotations]
+    closed = [m | 1 << v for v, m in enumerate(nbr)]
     full = (1 << n) - 1
     bars = nbr if independent else [0] * n  # what choosing w makes unavailable
 
@@ -341,7 +336,7 @@ def verify_combinator_accounting(
             f"coloring={c.colors}\nS={sorted(s)}"
         )
 
-    s_edges = sum(len(g.neighbors(v) & s) for v in s) // 2
+    s_edges = sum(len(s.intersection(g.rotations[v])) for v in s) // 2
     checks = [BoundRecord("s_independent", s_edges, 0)]
     if s_edges:  # each hole dart below needs both ends to survive
         breach(checks)

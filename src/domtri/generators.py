@@ -124,8 +124,7 @@ def _faces_at(rot, vs):
     faces = set()
     for v in vs:
         for u in rot[v]:
-            r = rot[u]
-            w = r[(r.index(v) + 1) % len(r)]
+            w = _after(rot, v, u)
             if v < u and v < w:
                 faces.add((v, u, w))
             elif u < w:
@@ -359,6 +358,12 @@ def k4_chain(k: int) -> tuple[PlaneGraph, frozenset[int]]:
 def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGraph:
     """Random stacked triangulation mixed by a seeded walk of random edge
     flips (illegal flips are skipped).  flips defaults to 3n."""
+    return PlaneGraph(_flip_walk(n, seed, flips), outer_dart=(0, 1))
+
+
+def _flip_walk(n: int, seed: int, flips: int | None) -> list:
+    """The rotation lists of random_triangulation(n, seed, flips) as the
+    last accepted flip left them."""
     start, _ = _stacked(n, split_seed(seed, 0))  # first, so that a bad n is named
     if flips is None:
         flips = 3 * n
@@ -366,10 +371,11 @@ def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGr
         raise ValueError(f"flip count must be >= 0, got {_echo(flips)}")
     rng = random.Random(split_seed(seed, 1))
     # Outputs per (n, seed) are fixed (full.cfg's seeds were sampled from
-    # them): edge k is drawn in the edges() order of the lists as the last
-    # accepted flip left them.  `owners` sorts each edge's lower end; flips
-    # edit the canonical `rot`, and `raw` keeps the lists that the last flip
-    # (at first, the stacked start) left non-canonical, as they stand.
+    # them): edge k is the kth (u, v), u < v, by u and then in the order of
+    # frozenset(lists[u]) for the lists as the last accepted flip left them.
+    # `owners` sorts each edge's lower end; flips edit the canonical `rot`,
+    # and `raw` keeps the lists that the last flip (at first, the stacked
+    # start) left non-canonical, as they stand.
     raw = dict(enumerate(start))
     rot = [_canonical(r) for r in start]
     owners = [u for u, r in enumerate(start) for w in r if w > u]
@@ -392,7 +398,7 @@ def random_triangulation(n: int, seed: int, flips: int | None = None) -> PlaneGr
             if r[0] != min(r):
                 raw[w] = r
                 rot[w] = _canonical(r)
-    return PlaneGraph([raw.get(w) or r for w, r in enumerate(rot)], outer_dart=(0, 1))
+    return [raw.get(w) or r for w, r in enumerate(rot)]
 
 
 def random_connected_plane(n: int, seed: int) -> PlaneGraph:
@@ -400,9 +406,10 @@ def random_connected_plane(n: int, seed: int) -> PlaneGraph:
     seeded pass of edge deletions that keep the graph connected.  An edge
     is a bridge iff one face lies on both its sides, and deleting any other
     merges its two faces, so a union-find over the faces decides each one."""
-    g = random_triangulation(n, split_seed(seed, 4))
+    lists = _flip_walk(n, split_seed(seed, 4), None)
+    g = PlaneGraph(lists, outer_dart=(0, 1))
     rng = random.Random(split_seed(seed, 5))
-    edges = list(g.edges())
+    edges = [(u, v) for u, r in enumerate(lists) for v in frozenset(r) if u < v]
     rng.shuffle(edges)
     drop_target = rng.randrange(0, len(edges) - (n - 1) + 1)
     root = list(range(len(g.faces)))

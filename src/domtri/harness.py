@@ -394,11 +394,14 @@ def _oracle_checks(ctx: _Ctx, g: PlaneGraph, cls, res: DominationResult | None):
 
 def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
     n = g.n
-    v4 = [v for v in g.vertices() if g.degree(v) == 4]
+    rots = g.rotations
+    v4 = {v for v, r in enumerate(rots) if len(r) == 4}
     odd = sum(1 for d in g.degrees() if d % 2)
     ctx.rec("degrees_all_even", odd, 0, "<=", "invariant")
     if n >= 9:
-        bad = _deg4_triangle_violations(g, v4)
+        # degree-4 vertices whose degree-4 neighbours are not two adjacent ones
+        inside = [[u for u in rots[v] if u in v4] for v in v4]
+        bad = sum(len(i) != 2 or not g.has_edge(*i) for i in inside)
         ctx.rec("deg4_disjoint_triangles", bad, 0, "<=", "invariant")
         ctx.rec("deg4_seven_bound", 7 * len(v4), 6 * n - 12, "<=")
     six = rec_eulerian_six_coloring(g, trace)
@@ -408,13 +411,13 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
     dynamic = is_r_dynamic(g, six, 5)
     ctx.rec("six_coloring_5dynamic", 0 if dynamic else 1, 0, "<=", "invariant")
     miss = {v: _missing(g, six, v) for v in v4}
-    bad_pairs = sum(u < w and miss[u] == miss.get(w) for u in v4 for w in g.neighbors(u))
+    bad_pairs = sum(u < w and miss[u] == miss.get(w) for u in v4 for w in rots[u])
     ctx.rec("six_coloring_distinct_missing", bad_pairs, 0, "<=", "invariant")
     shape_bad = sum(
         1
-        for v in g.vertices()
-        if (g.degree(v) == 4 and len(miss[v]) != 1)
-        or (g.degree(v) >= 6 and _missing(g, six, v))
+        for v, r in enumerate(rots)
+        if (len(r) == 4 and len(miss[v]) != 1)
+        or (len(r) >= 6 and _missing(g, six, v))
     )
     ctx.rec("six_coloring_missing_shape", shape_bad, 0, "<=", "invariant")
     try:
@@ -428,13 +431,6 @@ def _eulerian_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:
         ctx.rec("eulerian_13n42", res6.size, Fraction(13 * n - 12, 42))
         if iota is not None:
             ctx.rec("eulerian_iota_13n42", iota.size, Fraction(13 * n, 42), "<")
-
-
-def _deg4_triangle_violations(g: PlaneGraph, v4) -> int:
-    """The degree-4 vertices whose degree-4 neighbours are not two adjacent ones."""
-    v4set = set(v4)
-    inside = [[u for u in g.neighbors(v) if u in v4set] for v in v4]
-    return sum(len(i) != 2 or not g.has_edge(*i) for i in inside)
 
 
 def _three_tree_checks(ctx: _Ctx, g: PlaneGraph, trace, c, iota, gamma) -> None:

@@ -105,11 +105,13 @@ def _count_components(adj: Sequence[Iterable[int]]) -> int:
 class PlaneGraph:
     """Immutable plane graph: canonical rotations, faces, explicit outer face.
 
-    Vertices are 0..n-1.  A face is its vertex walk, one entry per dart;
-    its id is its index in `faces` and its degree the walk's length.  Do
-    not mutate the returned tuples; all derived structure is computed once
-    at construction.  Faces and the dart map hold only tuples of ints, so
-    the cyclic garbage collector stops tracking them.
+    Vertices are 0..n-1.  The rotations are the only adjacency a map
+    stores: degrees, edge tests and neighbour sets are read off them.  A
+    face is its vertex walk, one entry per dart; its id is its index in
+    `faces` and its degree the walk's length.  Do not mutate the returned
+    tuples; all derived structure is computed once at construction.  The
+    rotations, faces and dart map hold only tuples of ints, so the cyclic
+    garbage collector stops tracking them.
     """
 
     __slots__ = (
@@ -119,41 +121,31 @@ class PlaneGraph:
         "faces",
         "outer_face_id",
         "component_count",
-        "_adj",
         "_dart_face",
         "_class",
     )
 
-    def __init__(
-        self,
-        rotations: Sequence[Sequence[int]],
-        outer_dart: Dart | None = None,
-    ):
+    def __init__(self, rotations: Sequence[Sequence[int]], outer_dart: Dart | None = None):
         n = len(rotations)
         if n == 0:
             raise EmbeddingError("a plane graph needs at least one vertex")
-        adj = tuple(map(frozenset, rotations))
-        for v, (rot, nbrs) in enumerate(zip(rotations, adj)):
+        self.n = n
+        self.rotations = rots = tuple(_canonical(tuple(rot)) for rot in rotations)
+        index = [{w: i for i, w in enumerate(r)} for r in rots]  # index[v][u]: u's place at v
+        for v, (rot, pos) in enumerate(zip(rotations, index)):
             for u in rot:
                 if not (0 <= u < n):
                     raise EmbeddingError(f"vertex {v} lists unknown neighbor {_echo(u)}")
-            if v in nbrs:
+            if v in pos:
                 raise EmbeddingError(f"loop at vertex {v}")
-            if len(nbrs) != len(rot):
+            if len(pos) != len(rot):
                 raise EmbeddingError(f"parallel edge in rotation of vertex {v}")
-
-        self.n = n
-        self.rotations = tuple(_canonical(tuple(rot)) for rot in rotations)
-        self._adj = adj
-        self.edge_count = sum(map(len, adj)) // 2
-
-        self.component_count = _count_components(adj)
+        self.edge_count = sum(map(len, rots)) // 2
+        self.component_count = _count_components(rots)
         # Faces are the orbits of the dart successor (u, v) -> (v, succ_v(u)),
         # walked by rotation position.  Starting an orbit at each unlabelled
         # dart in sorted order numbers faces by their smallest dart; the
         # labels double as the seen set.  A one-sided dart fails index[v][u].
-        rots = self.rotations
-        index = [{w: i for i, w in enumerate(r)} for r in rots]
         labels = [[-1] * len(r) for r in rots]
         faces = []
         try:
@@ -216,30 +208,34 @@ class PlaneGraph:
         return self.rotations[v]
 
     def neighbors(self, v: int) -> frozenset[int]:
+        """The neighbours of v, as a set built on each call."""
         self._check_vertex(v)
-        return self._adj[v]
+        return frozenset(self.rotations[v])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return len(self.rotations[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[u]
+        return v in self.rotations[u]
 
     def face_of_dart(self, u: int, v: int) -> int:
-        if not (0 <= u < self.n) or v not in self._adj[u]:
-            raise ValueError(f"no dart ({u}, {v}) in this graph")
-        return self._dart_face[u][self.rotations[u].index(v)]
+        if 0 <= u < self.n:
+            try:
+                return self._dart_face[u][self.rotations[u].index(v)]
+            except ValueError:
+                pass
+        raise ValueError(f"no dart ({u}, {v}) in this graph")
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self._adj)
+        return tuple(map(len, self.rotations))
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v), u < v, by u and then in the iteration order of
-        u's neighbor set.  The flip walk draws edges by index in this order."""
-        return [(u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if u < v]
+        the set of u's canonical rotation."""
+        return [(u, v) for u, r in enumerate(self.rotations) for v in frozenset(r) if u < v]
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -262,11 +258,8 @@ class PlaneGraph:
 
 def closed_neighborhood(g: PlaneGraph, s: Iterable[int]) -> frozenset[int]:
     """N[S]: S together with everything adjacent to it.  N[{}] = {}."""
-    out = set()
-    for v in s:
-        out.add(v)
-        out |= g.neighbors(v)
-    return frozenset(out)
+    s = frozenset(s)
+    return s.union(*(g.rotation(v) for v in s))
 
 
 def face_degree_histogram(g: PlaneGraph) -> dict[int, int]:
@@ -389,8 +382,8 @@ def neighborhood_structure(g: PlaneGraph, v: int) -> str:
     dichotomy.
     """
     nbrs = g.rotation(v)
-    adj = g._adj
-    gaps = sum(b not in adj[a] for a, b in zip(nbrs, nbrs[1:] + nbrs[:1]))
+    rots = g.rotations
+    gaps = sum(b not in rots[a] for a, b in zip(nbrs, nbrs[1:] + nbrs[:1]))
     if not gaps and len(nbrs) >= 3:
         return "cycle"
     if v not in g.outer_face or len(g.outer_face) == 3:

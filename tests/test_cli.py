@@ -527,6 +527,31 @@ def test_integer_flags_name_an_over_long_value(capsys, argv):
     assert getattr(args, argv[-1][2:].replace("-", "_")) == int(" +0_4 ") == 4
 
 
+# each flag with a fixed set of values, and the ends of its stderr line for "5"
+CHOICE_FLAGS = {
+    "gen-family": (["gen"], "argument family: invalid choice: '5' (choose from 'k4', "),
+    "color-k": (["color", "G", "--k"], "argument --k: invalid choice: 5 (choose from 4, 6)"),
+    "dominate-method": (
+        ["dominate", "G", "--method"],
+        "argument --method: invalid choice: '5' (choose from 'combinator', 'iota', 'gamma')",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, short", CHOICE_FLAGS.values(), ids=CHOICE_FLAGS)
+def test_choice_flags_echo_a_value_capped(capsys, argv, short):
+    # argparse's `choices` check echoed a 4,000-character value whole, in a
+    # stderr line of 4,198 to 4,449 characters; a short one reads as before.
+    long = f"invalid choice: {'5' * 40 + '…'!r} (4000 characters) (choose from "
+    for value, shown in (("5" * 4000, long), ("5", short)):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, value])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2 and len(err) < 1024
+        assert shown in err.splitlines()[-1]
+    assert cli.build_parser().parse_args(["color", "G", "--k", " +0_6 "]).k == 6
+
+
 @pytest.mark.parametrize("index", [3_000_000, 300_000_000_000])
 def test_sparse_coloring_file_is_rejected_at_once(tmp_path, capsys, index):
     # Such an index used to set k, and the combinator looped over every

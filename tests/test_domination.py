@@ -90,6 +90,22 @@ def test_domination_predicates():
     assert not is_independent(g, {0, 1})
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda g, v: is_dominating(g, [v]),
+        lambda g, v: is_independent(g, [v]),
+        lambda g, v: greedy_independent(g, [v]),
+        lambda g, v: coloring.missing_colors(g, four_coloring(g), v),
+    ],
+    ids=["is_dominating", "is_independent", "greedy_independent", "missing_colors"],
+)
+def test_vertex_readers_reject_unknown_ids(read):
+    # each reads the rotation at v, where -1 would name the last vertex
+    with pytest.raises(ValueError, match="^unknown vertex -1$"):
+        read(k4(), -1)
+
+
 def test_undominated_by():
     g = octahedron()
     c = Coloring(4, (0, 1, 2, 0, 1, 2))

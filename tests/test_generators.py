@@ -213,22 +213,32 @@ def test_random_triangulation_determinism():
     )
 
 
+def _walk_text(n, seed, flips=None):
+    """to_pgr of random_triangulation(n, seed, flips) plus the walk's draw
+    order: the edges (u, v), u < v, by u and then in the iteration order of
+    frozenset(lists[u]), for the lists as the last accepted flip left them.
+    The pins below were taken when maps kept those sets and edges() read
+    them, so they hash the order the walk draws in, not today's edges()."""
+    lists = generators._flip_walk(n, seed, flips)
+    order = [(u, v) for u, r in enumerate(lists) for v in frozenset(r) if u < v]
+    return to_pgr(random_triangulation(n, seed, flips)) + repr(order)
+
+
 def test_flip_walk_is_pinned():
-    # Digest of to_pgr plus edges() order, taken when the walk rebuilt the
+    # Digest of to_pgr plus draw order, taken when the walk rebuilt the
     # whole map after every accepted flip: the walk draws its next edge
     # from that order, so both must survive the rotation-list walk.
     digest = hashlib.sha256()
-    graphs = [random_triangulation(n, s) for n in (60, 200) for s in (1, 2, 3)]
-    graphs += [random_triangulation(60, 1, flips=0), random_triangulation(4, 1)]
-    for g in graphs:
-        digest.update((to_pgr(g) + repr(g.edges())).encode())
+    walks = [(n, s) for n in (60, 200) for s in (1, 2, 3)]
+    for args in (*walks, (60, 1, 0), (4, 1)):
+        digest.update(_walk_text(*args).encode())
     assert digest.hexdigest() == (
         "f0a53959fd3c9b3e3ae6a065fdd1f78260dfe4e8c173c952f898e79f7f64bb02"
     )
 
 
 def test_flip_walk_small_n_is_pinned():
-    # Digest of to_pgr plus edges() order, taken when every accepted flip
+    # Digest of to_pgr plus draw order, taken when every accepted flip
     # re-copied the lists of the last two flips and rebuilt their sets.
     # At small n most draws hit an outer edge or a degenerate flip, and one
     # list is often touched by consecutive flips.
@@ -236,27 +246,28 @@ def test_flip_walk_small_n_is_pinned():
     for n in range(3, 41):
         for s in range(1, 6):
             for flips in (0, None, 6 * n):
-                g = random_triangulation(n, s, flips=flips)
-                digest.update((to_pgr(g) + repr(g.edges())).encode())
+                digest.update(_walk_text(n, s, flips).encode())
     assert digest.hexdigest() == (
         "fec8860bfdb179ec5a955c72c6759199d4cd0c2d390466cdc778e117b648c131"
     )
 
 
 def test_flip_walk_long_is_pinned():
-    # Digest of to_pgr plus edges() order, taken when every accepted flip
+    # Digest of to_pgr plus draw order, taken when every accepted flip
     # re-canonicalised all n lists and rebuilt the whole edge list: the
     # 6n-flip walks at n = 14..20, a 1000-vertex walk and the
-    # connected family, which shuffles edges(), must all survive the walk
-    # that refreshes only the lists a flip touched.
+    # connected family, which shuffles the draw order, must all survive the
+    # walk that refreshes only the lists a flip touched.
     digest = hashlib.sha256()
-    graphs = [
-        random_triangulation(n, s, flips=6 * n) for n in range(14, 21) for s in (1, 2, 3)
-    ]
-    graphs.append(random_triangulation(1000, 1))
-    graphs += [random_connected_plane(30, s) for s in (1, 2, 3)]
-    for g in graphs:
-        digest.update((to_pgr(g) + repr(g.edges())).encode())
+    walks = [(n, s, 6 * n) for n in range(14, 21) for s in (1, 2, 3)]
+    for args in (*walks, (1000, 1)):
+        digest.update(_walk_text(*args).encode())
+    for s in (1, 2, 3):  # edges() once read the set order of the lists built from
+        g = random_connected_plane(30, s)
+        tri = random_triangulation(30, split_seed(s, 4))
+        lists = [[u for u in tri.rotation(v) if g.has_edge(v, u)] for v in g.vertices()]
+        order = [(u, v) for u, r in enumerate(lists) for v in frozenset(r) if u < v]
+        digest.update((to_pgr(g) + repr(order)).encode())
     assert digest.hexdigest() == (
         "e723b521d1cd2501e45c27f774755e1f4ce5c6c683fb6f312386001faf042588"
     )
@@ -350,10 +361,11 @@ def _joined(adj, u, v):
 def reference_connected_plane(n, seed):
     """The same thinning decided by search: a candidate edge is dropped
     when its ends stay joined without it."""
-    g = random_triangulation(n, split_seed(seed, 4))
+    lists = generators._flip_walk(n, split_seed(seed, 4), None)
+    g = PlaneGraph(lists, outer_dart=(0, 1))
     rng = random.Random(split_seed(seed, 5))
     adj = [set(g.rotation(v)) for v in g.vertices()]
-    edges = list(g.edges())
+    edges = [(u, v) for u, r in enumerate(lists) for v in frozenset(r) if u < v]
     rng.shuffle(edges)
     drop_target = rng.randrange(0, len(edges) - (n - 1) + 1)
     dropped = 0

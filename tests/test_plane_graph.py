@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from domtri import plane_graph
@@ -24,6 +24,7 @@ from domtri.generators import (
     random_triangulation,
     recursive_eulerian,
 )
+from domtri.harness import FAMILIES
 from domtri.plane_graph import (
     Category,
     EmbeddingError,
@@ -574,20 +575,76 @@ def test_faces_and_dart_map_leave_the_cyclic_gc():
     assert all(type(r) is tuple and not gc.is_tracked(r) for r in g._dart_face)
 
 
-def test_stored_map_retains_little_memory():
-    text = to_pgr(random_triangulation(200, 5))
+def _parse_retained(text):
+    """parse_pgr(text) and the bytes it still holds (tracemalloc)."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         g = parse_pgr(text)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - base
+        return g, tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
+
+
+def test_stored_map_retains_little_memory():
+    g, retained = _parse_retained(to_pgr(random_triangulation(200, 5)))
     assert g.n == 200
     # a Face NamedTuple per face and a dart dict per vertex retained 247 KB
     assert retained < 200_000
+
+
+def test_stored_map_keeps_no_neighbour_sets():
+    # With a frozenset of neighbours per vertex beside the rotations, this
+    # map retained 1,006 KB and left 1,003 objects to the cyclic GC; the
+    # rotations, faces and dart map alone take about 490 KB.
+    g, retained = _parse_retained(to_pgr(random_triangulation(1000, 1)))
+    assert retained < 640_000
+    assert not any(map(gc.is_tracked, g.rotations))
+    todo = [getattr(g, name) for name in PlaneGraph.__slots__]
+    while todo:
+        x = todo.pop()
+        assert not isinstance(x, (set, frozenset))
+        if isinstance(x, tuple):
+            todo.extend(x)
+
+
+def _no_dart(g, u, v):
+    try:
+        g.face_of_dart(u, v)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    size=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_accessors_agree_with_the_rotations(family, size, seed):
+    # neighbors, degree, has_edge, face_of_dart and edges are read off the
+    # rotations, for every builder's map and its PGR round trip
+    fam = FAMILIES[family]
+    try:
+        g = fam.build(seed, **({} if fam.size is None else {fam.size: size}))[0]
+    except ValueError:  # a size below the family's range
+        g = None
+    assume(g is not None)
+    for h in (g, parse_pgr(to_pgr(g))):
+        pairs = [(v, u) for v in h.vertices() for u in sorted(h.rotation(v)) if v < u]
+        assert sorted(h.edges()) == pairs and len(pairs) == h.edge_count
+        for v in h.vertices():
+            rot = h.rotation(v)
+            assert h.neighbors(v) == frozenset(rot) and h.degree(v) == len(rot)
+            assert _no_dart(h, -1, v) and _no_dart(h, h.n, v)
+            for u in h.vertices():
+                assert h.has_edge(v, u) == (u in rot) == (not _no_dart(h, v, u))
+            for u in rot:
+                walk = h.faces[h.face_of_dart(v, u)]
+                assert (v, u) in zip(walk, walk[1:] + walk[:1])
 
 
 # -- face tracing against a reference ----------------------------------------
